@@ -38,48 +38,76 @@ let magic = "SKFBLOB\x01"
 
 (* ------------------------------ CRC-32 -------------------------------- *)
 
-(* IEEE 802.3, reflected polynomial; the table is built once on first
-   use.  Kept dependency-free on purpose (no zlib binding in the tree). *)
-let crc_table =
+(* IEEE 802.3, reflected polynomial, slicing-by-4: table [k] (entries
+   [256k .. 256k+255]) advances a byte through [k] further zero bytes, so
+   one step folds four input bytes with four lookups.  The tables are
+   built once on first use.  Kept dependency-free on purpose (no zlib
+   binding in the tree). *)
+let crc_tables =
   lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+    (let t = Array.make (4 * 256) 0 in
+     for n = 0 to 255 do
+       let c = ref n in
+       for _ = 0 to 7 do
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+       done;
+       t.(n) <- !c
+     done;
+     for k = 1 to 3 do
+       for n = 0 to 255 do
+         let prev = t.(((k - 1) * 256) + n) in
+         t.((k * 256) + n) <- (prev lsr 8) lxor t.(prev land 0xFF)
+       done
+     done;
+     t)
 
 let crc32 s =
-  let table = Lazy.force crc_table in
-  let c = ref 0xFFFFFFFF in
-  String.iter
-    (fun ch -> c := table.((!c lxor Char.code ch) land 0xFF) lxor (!c lsr 8))
-    s;
+  let t = Lazy.force crc_tables in
+  let byte i = Char.code (String.unsafe_get s i) in
+  let len = String.length s in
+  let c = ref 0xFFFFFFFF and i = ref 0 in
+  while !i + 4 <= len do
+    let x =
+      !c
+      lxor (byte !i
+           lor (byte (!i + 1) lsl 8)
+           lor (byte (!i + 2) lsl 16)
+           lor (byte (!i + 3) lsl 24))
+    in
+    c :=
+      Array.unsafe_get t (768 + (x land 0xFF))
+      lxor Array.unsafe_get t (512 + ((x lsr 8) land 0xFF))
+      lxor Array.unsafe_get t (256 + ((x lsr 16) land 0xFF))
+      lxor Array.unsafe_get t (x lsr 24);
+    i := !i + 4
+  done;
+  while !i < len do
+    c := t.((!c lxor byte !i) land 0xFF) lxor (!c lsr 8);
+    incr i
+  done;
   !c lxor 0xFFFFFFFF
 
 (* ------------------------------- write -------------------------------- *)
 
-let put_u32 b v =
-  for i = 0 to 3 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xFF))
+let put_le b off ~bytes v =
+  for i = 0 to bytes - 1 do
+    Bytes.set b (off + i) (Char.chr ((v lsr (8 * i)) land 0xFF))
   done
 
-let put_u64 b v =
-  for i = 0 to 7 do
-    Buffer.add_char b (Char.chr ((v lsr (8 * i)) land 0xFF))
-  done
-
+(* one exact-size buffer: payloads run to megabytes, and a [Buffer] would
+   copy them twice *)
 let encode ~kind ~version payload =
-  if String.length kind > 255 then invalid_arg "Snapshot.write: kind too long";
-  let b = Buffer.create (32 + String.length payload) in
-  Buffer.add_string b magic;
-  Buffer.add_char b (Char.chr (String.length kind));
-  Buffer.add_string b kind;
-  put_u32 b version;
-  put_u64 b (String.length payload);
-  put_u32 b (crc32 payload);
-  Buffer.add_string b payload;
-  Buffer.contents b
+  let klen = String.length kind and plen = String.length payload in
+  if klen > 255 then invalid_arg "Snapshot.write: kind too long";
+  let b = Bytes.create (25 + klen + plen) in
+  Bytes.blit_string magic 0 b 0 8;
+  Bytes.set b 8 (Char.chr klen);
+  Bytes.blit_string kind 0 b 9 klen;
+  put_le b (9 + klen) ~bytes:4 version;
+  put_le b (13 + klen) ~bytes:8 plen;
+  put_le b (21 + klen) ~bytes:4 (crc32 payload);
+  Bytes.blit_string payload 0 b (25 + klen) plen;
+  Bytes.unsafe_to_string b
 
 (* All blob IO goes through the durable-IO layer: [Io.write_file_atomic]
    owns the tmp-file discipline (closed and unlinked on every failure

@@ -485,8 +485,9 @@ let crash_seed seed =
    demand byte-identical responses for the replayed prefix plus a final
    resident fixed point flow-identical to a fresh solve; feed truncated
    and garbage request lines and demand structured errors with the daemon
-   still serving; corrupt the serve snapshot in seed-varied ways and
-   demand a logged cold start, never an escape. *)
+   still serving; corrupt the serve manifest, and the state blob it
+   references, in seed-varied ways and demand a logged cold start, never
+   an escape. *)
 
 module Sv = Skipflow_serve.Server
 module Incr = Skipflow_serve.Incremental
@@ -636,60 +637,85 @@ let serve_seed seed =
                     "daemon died after garbage input: %s" (Printexc.to_string e)
               | [] -> fail ~case:"serve:garbage" "no response after garbage"
               | _ -> probe ()));
-          (* corrupt serve snapshots: every mutation must come back as a
-             cold start (or an intact-prefix recovery), never an escape,
-             and the daemon must re-solve to the straight fixed point *)
+          (* corrupt serve state — the manifest, then the blob it
+             references: every mutation must come back as a cold start
+             (or an intact-prefix recovery), never an escape, and the
+             daemon must re-solve to the straight fixed point *)
           let dir2 = temp_state_dir () in
           (match run_session ~resume:false (Some dir2) [ edit_req 1 base ] with
           | Error msg -> fail ~case:"serve:corrupt" "create failed: %s" msg
           | Ok (srv, _) -> (
               Sv.finalize srv;
-              let snap = Filename.concat dir2 "serve.snap" in
-              (* drop the journal: this probe is about snapshot damage,
-                 not replay *)
-              (try Sys.remove (Filename.concat dir2 "journal.jsonl")
-               with Sys_error _ -> ());
-              match read_bytes snap with
+              let blobs = Filename.concat dir2 "blobs" in
+              (* one edit leaves one state: the resident, also memoized *)
+              let sites =
+                ("snap", Filename.concat dir2 "serve.snap")
+                :: (try
+                      List.map
+                        (fun n -> ("blob", Filename.concat blobs n))
+                        (Array.to_list (Sys.readdir blobs))
+                    with Sys_error _ -> [])
+              in
+              match List.map (fun (_, p) -> (p, read_bytes p)) sites with
               | exception Sys_error m ->
-                  fail ~case:"serve:corrupt" "snapshot unreadable: %s" m
+                  fail ~case:"serve:corrupt" "state unreadable: %s" m
+              | intact when List.length intact <> 2 ->
+                  fail ~case:"serve:corrupt"
+                    "expected a manifest and one blob, found %d files"
+                    (List.length intact)
               | intact ->
+                  (* every probe starts from the intact state, without the
+                     journal: this probe is about snapshot damage, not
+                     replay (and a recovery rewrites the state) *)
+                  let reset () =
+                    rm_tree blobs;
+                    (try Sys.remove (Filename.concat dir2 "journal.jsonl")
+                     with Sys_error _ -> ());
+                    Unix.mkdir blobs 0o755;
+                    List.iter (fun (p, b) -> write_bytes p b) intact
+                  in
                   List.iter
-                    (fun (mname, damaged) ->
-                      write_bytes snap damaged;
-                      match Sv.create ~resume:true (serve_cfg (Some dir2)) with
-                      | exception e ->
-                          fail ~case:("serve:" ^ mname)
-                            "exception escaped the resume: %s"
-                            (Printexc.to_string e)
-                      | Error msg ->
-                          fail ~case:("serve:" ^ mname)
-                            "damaged snapshot refused instead of cold start: \
-                             %s"
-                            msg
-                      | Ok srv -> (
-                          match Sv.handle_line srv (edit_req 1 base) with
+                    (fun (site, path) ->
+                      let bytes = List.assoc path intact in
+                      List.iter
+                        (fun (mname, damaged) ->
+                          let case = Printf.sprintf "serve:%s-%s" site mname in
+                          reset ();
+                          write_bytes path damaged;
+                          match Sv.create ~resume:true (serve_cfg (Some dir2)) with
                           | exception e ->
-                              fail ~case:("serve:" ^ mname)
-                                "exception escaped the recovered daemon: %s"
+                              fail ~case "exception escaped the resume: %s"
                                 (Printexc.to_string e)
-                          | _ -> (
-                              match (Sv.state srv, Sv.state straight_srv) with
-                              | Some a, Some b ->
-                                  (* straight_srv's last edit was [base]
-                                     too, so the fixed points must agree *)
-                                  (match
-                                     Incr.same_fixed_point a.Incr.engine
-                                       b.Incr.engine
-                                   with
-                                  | Ok () -> probe ()
-                                  | Error msg ->
-                                      fail ~case:("serve:" ^ mname)
-                                        "recovered fixed point diverged: %s"
-                                        msg)
-                              | _ ->
-                                  fail ~case:("serve:" ^ mname)
-                                    "recovered daemon has no resident state")))
-                    (mutations ~seed ~len:(String.length intact) intact)));
+                          | Error msg ->
+                              fail ~case
+                                "damaged snapshot refused instead of cold \
+                                 start: %s"
+                                msg
+                          | Ok srv -> (
+                              match Sv.handle_line srv (edit_req 1 base) with
+                              | exception e ->
+                                  fail ~case
+                                    "exception escaped the recovered daemon: %s"
+                                    (Printexc.to_string e)
+                              | _ -> (
+                                  match (Sv.state srv, Sv.state straight_srv) with
+                                  | Some a, Some b -> (
+                                      (* straight_srv's last edit was [base]
+                                         too, so the fixed points must agree *)
+                                      match
+                                        Incr.same_fixed_point a.Incr.engine
+                                          b.Incr.engine
+                                      with
+                                      | Ok () -> probe ()
+                                      | Error msg ->
+                                          fail ~case
+                                            "recovered fixed point diverged: %s"
+                                            msg)
+                                  | _ ->
+                                      fail ~case
+                                        "recovered daemon has no resident state")))
+                        (mutations ~seed ~len:(String.length bytes) bytes))
+                    sites));
           rm_tree dir;
           rm_tree dir2));
       (List.rev !failures, !checked)

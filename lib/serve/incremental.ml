@@ -113,7 +113,6 @@ module Memo = struct
 
   let create cap = { cap; items = [] }
   let entries m = m.items
-  let restore cap items = { cap; items = take cap items }
 
   (* no LRU refresh: lookups must be side-effect free so that a request
      that ultimately fails leaves the memo byte-identical — journal
@@ -145,9 +144,11 @@ type frozen = {
   fr_snapshot : string;
   fr_meth_hashes : (string * string) list;
   fr_hier_hash : string;
-  fr_generation : int;
 }
 
+(* The generation is deliberately not frozen: it orders commits, it is
+   not content.  Equal states then freeze to equal bytes, so the serve
+   daemon's content-addressed store keeps one blob for them. *)
 let freeze st =
   Marshal.to_string
     {
@@ -156,7 +157,6 @@ let freeze st =
       fr_snapshot = st.snapshot;
       fr_meth_hashes = st.meth_hashes;
       fr_hier_hash = st.hier_hash;
-      fr_generation = st.generation;
     }
     []
 
@@ -179,7 +179,7 @@ let thaw bytes =
               reachable = reachable_names engine;
               meth_hashes = fr.fr_meth_hashes;
               hier_hash = fr.fr_hier_hash;
-              generation = fr.fr_generation;
+              generation = 0;
             })
 
 (* ----------------------------- operations ----------------------------- *)
@@ -188,9 +188,30 @@ type outcome = {
   o_state : state;
   o_strategy : strategy;
   o_verified : bool;
+  o_frozen : string Lazy.t;
   o_memo_adds : (string * string) list;
       (* memo writes to apply if (and only if) the caller commits *)
 }
+
+let unchanged st =
+  {
+    o_state = st;
+    o_strategy = Resident;
+    o_verified = false;
+    o_frozen = lazy (freeze st);
+    o_memo_adds = [];
+  }
+
+(* A new candidate: its own memo entry goes last, and its bytes double as
+   the candidate's frozen image, so nothing is marshalled twice. *)
+let candidate ?(before = []) ~strategy ~verified ~key st frozen =
+  {
+    o_state = st;
+    o_strategy = strategy;
+    o_verified = verified;
+    o_frozen = Lazy.from_val frozen;
+    o_memo_adds = before @ [ (key, frozen) ];
+  }
 
 let deadline_budget deadline_ms =
   C.Budget.make ~max_seconds:(float_of_int deadline_ms /. 1000.) ()
@@ -232,22 +253,20 @@ let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
             }
           in
           Ok
-            {
-              o_state = st;
-              o_strategy = Full reason;
-              o_verified = false;
-              o_memo_adds =
-                [ (memo_key ~config ~mode ~roots ~source, freeze st) ];
-            })
+            (candidate ~strategy:(Full reason) ~verified:false
+               ~key:(memo_key ~config ~mode ~roots ~source)
+               st (freeze st)))
 
 let edit ~config ~mode ~deadline_ms ~memo st ~source =
-  if String.equal source st.source then
-    Ok { o_state = st; o_strategy = Resident; o_verified = false; o_memo_adds = [] }
+  if String.equal source st.source then Ok (unchanged st)
   else begin
+    let key = memo_key ~config ~mode ~roots:st.roots ~source in
     (* on commit, memoize the pre-edit state too, so reverting this edit
-       is a hit *)
+       is a hit.  Every commit memoizes its own state, so the memo entry
+       under the resident's key, when present, is already its freeze. *)
     let pre_add =
-      (memo_key ~config ~mode ~roots:st.roots ~source:st.source, freeze st)
+      let k = memo_key ~config ~mode ~roots:st.roots ~source:st.source in
+      (k, match Memo.peek memo k with Some b -> b | None -> freeze st)
     in
     let full reason =
       match
@@ -257,21 +276,15 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
       | Error _ as e -> e
       | Ok o -> Ok { o with o_memo_adds = pre_add :: o.o_memo_adds }
     in
-    match Memo.peek memo (memo_key ~config ~mode ~roots:st.roots ~source) with
+    match Memo.peek memo key with
     | Some bytes -> (
         match thaw bytes with
         | Ok mst when certify mst.engine ->
+            (* re-adding the hit refreshes its LRU position *)
             Ok
-              {
-                o_state = { mst with generation = st.generation + 1 };
-                o_strategy = Memo;
-                o_verified = true;
-                o_memo_adds =
-                  [ pre_add;
-                    (* re-adding the hit refreshes its LRU position *)
-                    (memo_key ~config ~mode ~roots:st.roots ~source, bytes);
-                  ];
-              }
+              (candidate ~before:[ pre_add ] ~strategy:Memo ~verified:true ~key
+                 { mst with generation = st.generation + 1 }
+                 bytes)
         | Ok _ | Error _ ->
             (* suspect memo entry: drop to a full solve *)
             full "memo entry failed restoration or verification")
@@ -313,16 +326,8 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
                       }
                     in
                     Ok
-                      {
-                        o_state = st';
-                        o_strategy = Reuse;
-                        o_verified = true;
-                        o_memo_adds =
-                          [ pre_add;
-                            ( memo_key ~config ~mode ~roots:st.roots ~source,
-                              freeze st' );
-                          ];
-                      }
+                      (candidate ~before:[ pre_add ] ~strategy:Reuse
+                         ~verified:true ~key st' (freeze st'))
                   end
                   else full "resident engine failed verification"
               | (name, _) :: _ ->
@@ -341,30 +346,22 @@ let analyze_roots ~config ~mode ~deadline_ms ~memo st ~roots =
         Ids.Meth.Set.of_list (List.map (fun m -> m.Program.m_id) meths)
       in
       let current = C.Engine.roots st.engine in
+      (* not computed on the resident path: it digests the whole source *)
+      let key = lazy (memo_key ~config ~mode ~roots ~source:st.source) in
       let memo_hit () =
-        match Memo.peek memo (memo_key ~config ~mode ~roots ~source:st.source) with
+        let key = Lazy.force key in
+        match Memo.peek memo key with
         | None -> None
         | Some bytes -> (
             match thaw bytes with
             | Ok mst when certify mst.engine ->
                 Some
-                  {
-                    o_state = { mst with generation = st.generation + 1 };
-                    o_strategy = Memo;
-                    o_verified = true;
-                    o_memo_adds =
-                      [ (memo_key ~config ~mode ~roots ~source:st.source, bytes) ];
-                  }
+                  (candidate ~strategy:Memo ~verified:true ~key
+                     { mst with generation = st.generation + 1 }
+                     bytes)
             | Ok _ | Error _ -> None)
       in
-      if Ids.Meth.Set.equal requested current then
-        Ok
-          {
-            o_state = st;
-            o_strategy = Resident;
-            o_verified = false;
-            o_memo_adds = [];
-          }
+      if Ids.Meth.Set.equal requested current then Ok (unchanged st)
       else
         match memo_hit () with
         | Some o -> Ok o
@@ -411,15 +408,8 @@ let analyze_roots ~config ~mode ~deadline_ms ~memo st ~roots =
                 }
               in
               Ok
-                {
-                  o_state = st';
-                  o_strategy = Redrain (List.length added);
-                  o_verified = true;
-                  o_memo_adds =
-                    [ ( memo_key ~config ~mode ~roots ~source:st.source,
-                        freeze st' );
-                    ];
-                }
+                (candidate ~strategy:(Redrain (List.length added))
+                   ~verified:true ~key:(Lazy.force key) st' (freeze st'))
             end
             else
               solve_full ~reason:"re-drained engine failed verification"

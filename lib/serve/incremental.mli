@@ -82,9 +82,10 @@ val hierarchy_fingerprint : Skipflow_ir.Program.t -> string
 
 module Memo : sig
   type t
-  (** A bounded LRU from {!C.Cache.key} content hashes to solved states
-      (engines kept as frozen bytes, so entries are self-contained
-      values that survive serialization into the serve snapshot). *)
+  (** A bounded LRU from {!C.Cache.key} content hashes to solved states,
+      each kept as its {!freeze} bytes: entries are self-contained
+      values, and the serve daemon persists each distinct one once, as a
+      content-addressed blob. *)
 
   val create : int -> t
 
@@ -99,10 +100,8 @@ module Memo : sig
       [o_memo_adds] through this exactly when they commit it. *)
 
   val entries : t -> (string * string) list
-  (** [(key, frozen state bytes)], most recently used first — the
-      serializable image persisted into the serve snapshot. *)
-
-  val restore : int -> (string * string) list -> t
+  (** [(key, frozen state bytes)], most recently used first.  Re-adding
+      them oldest first rebuilds the same LRU order. *)
 
   val clear : t -> unit
   (** Drop every entry (capacity kept) — the memory ceiling's first
@@ -119,6 +118,10 @@ type outcome = {
   o_state : state;  (** the candidate; caller commits or discards *)
   o_strategy : strategy;
   o_verified : bool;  (** the {!C.Verify} certifier ran and passed *)
+  o_frozen : string Lazy.t;
+      (** {!freeze} of [o_state].  For a new candidate these are the very
+          bytes of its own entry in [o_memo_adds] (already computed); only
+          an unchanged ({b resident}) outcome would marshal on force. *)
   o_memo_adds : (string * string) list;
       (** memo writes to apply (via {!Memo.add}) iff the caller commits
           the candidate; operations never mutate the memo themselves *)
@@ -166,11 +169,14 @@ val analyze_roots :
 (** {1 Persistence} *)
 
 val freeze : state -> string
-(** Serialize a state (the engine as its snapshot bytes). *)
+(** Serialize a state (the engine as its snapshot bytes).  The
+    generation is left out: it orders commits and is not content, so
+    states equal in content freeze to equal bytes. *)
 
 val thaw : string -> (state, string) result
 (** Rebuild a frozen state; the engine is restored from its snapshot
-    bytes with an unlimited budget.  [Error] on undecodable bytes. *)
+    bytes with an unlimited budget.  The generation comes back as [0]
+    for the caller to set.  [Error] on undecodable bytes. *)
 
 (** {1 Equality certification} *)
 

@@ -46,6 +46,8 @@ let default_cfg =
     sv_log = (fun _ -> ());
   }
 
+module SS = Set.Make (String)
+
 (** A journaled response awaiting its request to arrive again. *)
 type replay_entry = {
   re_gen : int;  (** generation {e after} the original request *)
@@ -58,6 +60,12 @@ type t = {
   cfg : cfg;
   memo : I.Memo.t;
   mutable st : I.state option;
+  mutable st_frozen : string;  (** {!I.freeze} of [st] (empty while [None]) *)
+  mutable names : (string * string) list;
+      (** [(frozen bytes, blob name)] for the strings the last snapshot
+          referenced, matched by physical equality: a frozen string is
+          digested at most once while it stays referenced *)
+  mutable on_disk : SS.t;  (** blob names present under [blobs/] *)
   mutable journal : C.Io.appender option;
   mutable replay : replay_entry list;
   mutable since_snapshot : int;
@@ -79,10 +87,24 @@ let mode_name = function
 
 (* ----------------------------- persistence ---------------------------- *)
 
+(* The state directory is content-addressed:
+
+     serve.snap          the manifest: a JSON payload naming the resident
+                         blob (plus its generation) and the memo's blobs
+     blobs/<md5>.blob    one frozen state each, named by its digest
+     journal.jsonl       one line per response, for replay
+
+   Both file kinds are {!C.Snapshot} containers.  A frozen state is
+   written once, when a manifest first references it; a memo hit
+   rewrites only the manifest. *)
 let serve_snapshot_kind = "serve-state"
-let serve_snapshot_version = 1
+let serve_snapshot_version = 2
+let blob_kind = "serve-blob"
+let blob_version = 1
 let snap_path dir = Filename.concat dir "serve.snap"
 let journal_path dir = Filename.concat dir "journal.jsonl"
+let blob_dir dir = Filename.concat dir "blobs"
+let blob_path dir name = Filename.concat (blob_dir dir) (name ^ ".blob")
 
 let digest_line line = Digest.to_hex (Digest.string (String.trim line))
 
@@ -96,34 +118,151 @@ let config_fingerprint cfg =
          (String.concat "," cfg.sv_roots))
     ~source:""
 
-type serve_frozen = {
-  sp_state : string option;  (** {!I.freeze} of the resident state *)
-  sp_memo : (string * string) list;
-  sp_config_fp : string;
+type manifest = {
+  mf_config_fp : string;
+  mf_resident : (string * int) option;  (** blob name, generation *)
+  mf_memo : (string * string) list;  (** (memo key, blob name), MRU first *)
 }
 
+let manifest_json m =
+  Json.Obj
+    [ ("config", Json.Str m.mf_config_fp);
+      ( "resident",
+        match m.mf_resident with
+        | None -> Json.Null
+        | Some (blob, gen) ->
+            Json.Obj [ ("blob", Json.Str blob); ("generation", Json.Int gen) ] );
+      ( "memo",
+        Json.Arr
+          (List.map
+             (fun (key, blob) ->
+               Json.Obj [ ("key", Json.Str key); ("blob", Json.Str blob) ])
+             m.mf_memo) );
+    ]
+
+(* a blob name becomes a path, so anything but a digest is rejected *)
+let is_blob_name s =
+  String.length s = 32
+  && String.for_all (function '0' .. '9' | 'a' .. 'f' -> true | _ -> false) s
+
+let manifest_of_payload payload =
+  let str = function Some (Json.Str s) -> s | _ -> raise Exit in
+  let blob o =
+    let b = str (Json.member "blob" o) in
+    if is_blob_name b then b else raise Exit
+  in
+  match
+    let j = Json.of_string payload in
+    {
+      mf_config_fp = str (Json.member "config" j);
+      mf_resident =
+        (match Json.member "resident" j with
+        | Some Json.Null -> None
+        | Some o -> (
+            match Json.member "generation" o with
+            | Some (Json.Int gen) -> Some (blob o, gen)
+            | _ -> raise Exit)
+        | None -> raise Exit);
+      mf_memo =
+        (match Json.member "memo" j with
+        | Some (Json.Arr items) ->
+            List.map (fun o -> (str (Json.member "key" o), blob o)) items
+        | _ -> raise Exit);
+    }
+  with
+  | m -> Some m
+  | exception (Exit | Json.Parse_error _) -> None
+
+(* [Ok None]: no snapshot yet; [Error]: the warning for a cold start *)
+let read_manifest dir =
+  match
+    C.Snapshot.read ~path:(snap_path dir) ~kind:serve_snapshot_kind
+      ~version:serve_snapshot_version
+  with
+  | Error (C.Snapshot.Io _) -> Ok None
+  | Error e ->
+      Error
+        ("serve snapshot rejected ("
+        ^ C.Snapshot.error_message e
+        ^ "); falling back to a cold start")
+  | Ok payload -> (
+      match manifest_of_payload payload with
+      | Some m -> Ok (Some m)
+      | None -> Error "serve snapshot payload undecodable; cold start")
+
+let manifest_blobs m =
+  Option.fold ~none:[] ~some:(fun (b, _) -> [ b ]) m.mf_resident
+  @ List.map snd m.mf_memo
+
+let blob_name t bytes =
+  match List.find_opt (fun (b, _) -> b == bytes) t.names with
+  | Some (_, name) -> name
+  | None -> Digest.to_hex (Digest.string bytes)
+
+(* Commit order: every referenced blob not yet on disk, then the manifest
+   (atomically), then the blobs it no longer references.  A crash
+   anywhere leaves the old manifest with all its blobs, or the new one
+   with all of its; orphans are swept by the next {!create}.  The counter
+   is reset only on success, so a failed snapshot is retried by the next
+   request instead of [sv_snapshot_every] mutations later. *)
 let write_snapshot t =
   match t.cfg.sv_state_dir with
   | None -> ()
-  | Some dir ->
-      let payload =
-        Marshal.to_string
-          {
-            sp_state = Option.map I.freeze t.st;
-            sp_memo = I.Memo.entries t.memo;
-            sp_config_fp = config_fingerprint t.cfg;
-          }
-          []
+  | Some dir -> (
+      let named bytes = (bytes, blob_name t bytes) in
+      let resident =
+        Option.map (fun st -> (named t.st_frozen, st.I.generation)) t.st
       in
-      (match
-         C.Snapshot.write ~path:(snap_path dir) ~kind:serve_snapshot_kind
-           ~version:serve_snapshot_version payload
-       with
-      | Ok () -> ()
+      let memo =
+        List.map (fun (key, bytes) -> (key, named bytes)) (I.Memo.entries t.memo)
+      in
+      let refs = Option.to_list (Option.map fst resident) @ List.map snd memo in
+      t.names <- refs;
+      let rec store = function
+        | [] -> Ok ()
+        | (bytes, name) :: rest ->
+            if SS.mem name t.on_disk then store rest
+            else (
+              match
+                C.Snapshot.write ~path:(blob_path dir name) ~kind:blob_kind
+                  ~version:blob_version bytes
+              with
+              | Error _ as e -> e
+              | Ok () ->
+                  t.on_disk <- SS.add name t.on_disk;
+                  store rest)
+      in
+      let manifest =
+        {
+          mf_config_fp = config_fingerprint t.cfg;
+          mf_resident =
+            Option.map (fun ((_, name), gen) -> (name, gen)) resident;
+          mf_memo = List.map (fun (key, (_, name)) -> (key, name)) memo;
+        }
+      in
+      match
+        Result.bind (store refs) (fun () ->
+            C.Snapshot.write ~path:(snap_path dir) ~kind:serve_snapshot_kind
+              ~version:serve_snapshot_version
+              (Json.to_compact_string (manifest_json manifest)))
+      with
       | Error e ->
           t.cfg.sv_log
-            ("serve snapshot write failed: " ^ C.Snapshot.error_message e));
-      t.since_snapshot <- 0
+            ("serve snapshot write failed: " ^ C.Snapshot.error_message e)
+      | Ok () ->
+          let live = SS.of_list (List.map snd refs) in
+          (* a blob whose unlink failed stays tracked for the next commit *)
+          t.on_disk <-
+            SS.filter
+              (fun name ->
+                SS.mem name live
+                || Result.is_error (C.Io.unlink (blob_path dir name)))
+              t.on_disk;
+          t.since_snapshot <- 0)
+
+let set_resident t st frozen =
+  t.st <- Some st;
+  t.st_frozen <- frozen
 
 let maybe_snapshot t =
   if t.since_snapshot >= t.cfg.sv_snapshot_every then write_snapshot t
@@ -308,7 +447,7 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
       | None -> true
     in
     if mutated then begin
-      t.st <- Some o.I.o_state;
+      set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
       List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
       t.since_snapshot <- t.since_snapshot + 1
     end;
@@ -382,6 +521,8 @@ let over_ceiling t =
       heap_mb () > cap
       && begin
            I.Memo.clear t.memo;
+           (* the blob-name cache would keep the dropped states alive *)
+           t.names <- [];
            (match t.st with
            | Some st -> C.Trace.drop_events (C.Engine.trace_of st.I.engine)
            | None -> ());
@@ -491,12 +632,99 @@ let drain_one t =
 
 (* ------------------------------ lifecycle ----------------------------- *)
 
+(* Leftovers of a crashed writer: [*.tmp.*] files, and blobs written
+   before the manifest that would have referenced them.  Only one daemon
+   owns a state directory, so nothing here can belong to a live writer. *)
+let sweep t dir ~referenced =
+  let is_tmp name =
+    let rec at i =
+      i + 5 <= String.length name && (String.sub name i 5 = ".tmp." || at (i + 1))
+    in
+    at 0
+  in
+  let entries d = try Sys.readdir d with Sys_error _ -> [||] in
+  Array.iter
+    (fun n -> if is_tmp n then ignore (C.Io.unlink (Filename.concat dir n)))
+    (entries dir);
+  Array.iter
+    (fun n ->
+      let path = Filename.concat (blob_dir dir) n in
+      if is_tmp n then ignore (C.Io.unlink path)
+      else if Filename.check_suffix n ".blob" then
+        let name = Filename.chop_suffix n ".blob" in
+        if List.mem name referenced then t.on_disk <- SS.add name t.on_disk
+        else ignore (C.Io.unlink path))
+    (entries (blob_dir dir))
+
+(* Warm start from a manifest, guarded by the configuration fingerprint,
+   every referenced blob's container checks, and the Verify certifier.
+   Any suspicion — a missing or damaged blob included — is a logged cold
+   start: the journal then replays every request from scratch. *)
+let restore t dir m =
+  let ( let* ) = Result.bind in
+  let loaded = Hashtbl.create 16 in
+  let load name =
+    match Hashtbl.find_opt loaded name with
+    | Some bytes -> Ok bytes
+    | None -> (
+        match
+          C.Snapshot.read ~path:(blob_path dir name) ~kind:blob_kind
+            ~version:blob_version
+        with
+        | Ok bytes ->
+            Hashtbl.replace loaded name bytes;
+            Ok bytes
+        | Error e ->
+            (* damaged or missing: forget it, so a later commit of the
+               same content writes it afresh *)
+            ignore (C.Io.unlink (blob_path dir name));
+            t.on_disk <- SS.remove name t.on_disk;
+            Error ("serve state blob rejected (" ^ C.Snapshot.error_message e ^ ")"))
+  in
+  let restored =
+    if not (String.equal m.mf_config_fp (config_fingerprint t.cfg)) then
+      Error "serve snapshot was written under a different configuration"
+    else
+      match m.mf_resident with
+      | None -> Ok None
+      | Some (name, generation) ->
+          let* bytes = load name in
+          let* st =
+            Result.map_error
+              (fun msg -> "resident state undecodable (" ^ msg ^ ")")
+              (I.thaw bytes)
+          in
+          if C.Verify.run st.I.engine <> [] then
+            Error "restored engine failed verification"
+          else
+            let* memo =
+              List.fold_right
+                (fun (key, name) acc ->
+                  let* l = acc in
+                  let* bytes = load name in
+                  Ok ((key, bytes) :: l))
+                m.mf_memo (Ok [])
+            in
+            Ok (Some ({ st with I.generation }, bytes, memo))
+  in
+  match restored with
+  | Error msg -> t.cfg.sv_log (msg ^ "; cold start")
+  | Ok None -> ()
+  | Ok (Some (st, bytes, memo)) ->
+      set_resident t st bytes;
+      (* oldest first, so re-adding restores the LRU order *)
+      List.iter (I.Memo.add t.memo) (List.rev memo);
+      t.names <- Hashtbl.fold (fun name b acc -> (b, name) :: acc) loaded []
+
 let create ?initial ~resume cfg =
   let t =
     {
       cfg;
       memo = I.Memo.create cfg.sv_memo_entries;
       st = None;
+      st_frozen = "";
+      names = [];
+      on_disk = SS.empty;
       journal = None;
       replay = [];
       since_snapshot = 0;
@@ -507,54 +735,21 @@ let create ?initial ~resume cfg =
       queue = Queue.create ();
     }
   in
-  Option.iter (fun dir -> ignore (C.Io.mkdir_p dir)) cfg.sv_state_dir;
-  (* warm start: snapshot (guarded by CRC, schema version, configuration
-     fingerprint, and the Verify certifier — any suspicion falls back to
-     a cold start with a warning) plus the journal for replay *)
-  if resume then
-    Option.iter
-      (fun dir ->
-        (match
-           C.Snapshot.read ~path:(snap_path dir) ~kind:serve_snapshot_kind
-             ~version:serve_snapshot_version
-         with
-        | Error (C.Snapshot.Io _) -> () (* no snapshot yet *)
-        | Error e ->
-            cfg.sv_log
-              ("serve snapshot rejected ("
-              ^ C.Snapshot.error_message e
-              ^ "); falling back to a cold start")
-        | Ok payload -> (
-            match (Marshal.from_string payload 0 : serve_frozen) with
-            | exception _ ->
-                cfg.sv_log "serve snapshot payload undecodable; cold start"
-            | sf ->
-                if not (String.equal sf.sp_config_fp (config_fingerprint cfg))
-                then
-                  cfg.sv_log
-                    "serve snapshot was written under a different \
-                     configuration; cold start"
-                else begin
-                  (match sf.sp_state with
-                  | None -> ()
-                  | Some bytes -> (
-                      match I.thaw bytes with
-                      | Error msg ->
-                          cfg.sv_log
-                            ("resident state undecodable (" ^ msg
-                           ^ "); cold start")
-                      | Ok st ->
-                          if C.Verify.run st.I.engine = [] then t.st <- Some st
-                          else
-                            cfg.sv_log
-                              "restored engine failed verification; cold \
-                               start"));
-                  if t.st <> None then
-                    (* oldest first, so re-adding restores the LRU order *)
-                    List.iter (I.Memo.add t.memo) (List.rev sf.sp_memo)
-                end));
-        t.replay <- read_journal (journal_path dir))
-      cfg.sv_state_dir;
+  Option.iter
+    (fun dir ->
+      ignore (C.Io.mkdir_p (blob_dir dir));
+      let manifest = read_manifest dir in
+      sweep t dir
+        ~referenced:
+          (match manifest with Ok (Some m) -> manifest_blobs m | _ -> []);
+      if resume then begin
+        (match manifest with
+        | Ok None -> () (* no snapshot yet *)
+        | Error msg -> cfg.sv_log msg
+        | Ok (Some m) -> restore t dir m);
+        t.replay <- read_journal (journal_path dir)
+      end)
+    cfg.sv_state_dir;
   let initial_result =
     if t.st <> None then Ok () (* the snapshot wins over [initial] *)
     else
@@ -582,7 +777,7 @@ let create ?initial ~resume cfg =
               with
               | Error err -> Error (P.error_message err)
               | Ok o ->
-                  t.st <- Some o.I.o_state;
+                  set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
                   List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
                   t.since_snapshot <- t.since_snapshot + 1;
                   Ok ()))

@@ -10,8 +10,11 @@
     trip rolls the resident state back by construction.  Every response
     is appended to a journal (with the request digest and the resulting
     generation) before it is returned, and the resident state plus memo
-    are snapshotted atomically every [snapshot_every] mutations — a
-    [kill -9] at any point loses at most the in-flight request, and a
+    are snapshotted every [snapshot_every] mutations: each solved state
+    is written once, as a content-addressed blob under [DIR/blobs/], and
+    an atomically replaced manifest ([DIR/serve.snap]) names the blobs in
+    use — a [kill -9] at any point loses at most the in-flight request,
+    and a
     restart with [resume:true] re-emits journaled responses byte for
     byte while re-executing post-snapshot mutations to catch the
     resident state up. *)
@@ -53,10 +56,13 @@ val create : ?initial:Api.source -> resume:bool -> cfg -> (t, string) result
 (** Start a daemon.  [initial] loads and fully solves a program before
     serving (its errors fail creation — the CLI contract).  With
     [resume:true] and a state dir, the last snapshot is restored (config
-    fingerprint, container CRC, schema version and the {!C.Verify}
-    certifier all guard it; any suspicion falls back to a cold start
-    with a logged warning, never a refusal) and the journal is loaded
-    for replay.  A resumed daemon prefers the snapshot over [initial]. *)
+    fingerprint, container CRCs, schema versions and the {!C.Verify}
+    certifier all guard it; any suspicion — a missing or damaged blob
+    included — falls back to a cold start with a logged warning, never a
+    refusal) and the journal is loaded for replay.  A resumed daemon
+    prefers the snapshot over [initial].  With a state dir, creation
+    also sweeps blobs the manifest does not reference and [*.tmp.*]
+    leftovers of a crashed writer. *)
 
 val handle_line : t -> string -> string list
 (** Process one request line to completion: parse, replay-match,

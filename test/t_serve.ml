@@ -474,6 +474,184 @@ let test_corrupt_snapshot_cold_start () =
           | Ok () -> ()
           | Error msg -> Alcotest.failf "recovered fixed point diverged: %s" msg))
 
+(* --------------------- the content-addressed state dir ------------------ *)
+
+let snap_file dir = Filename.concat dir "serve.snap"
+let blobs_dir dir = Filename.concat dir "blobs"
+
+(* the blob names the manifest references, sorted, and its generation *)
+let manifest dir =
+  match
+    C.Snapshot.read ~path:(snap_file dir) ~kind:"serve-state" ~version:2
+  with
+  | Error e -> Alcotest.failf "manifest: %s" (C.Snapshot.error_message e)
+  | Ok payload ->
+      let j = K.Json.of_string payload in
+      let resident, gen =
+        match K.Json.member "resident" j with
+        | Some (K.Json.Obj _ as r) -> ([ str_member "blob" r ], int_member "generation" r)
+        | _ -> ([], 0)
+      in
+      let memo =
+        match K.Json.member "memo" j with
+        | Some (K.Json.Arr items) -> List.map (str_member "blob") items
+        | _ -> Alcotest.fail "manifest without a memo list"
+      in
+      (List.sort_uniq String.compare (resident @ memo), gen)
+
+let blob_files dir =
+  List.sort String.compare
+    (List.map
+       (fun n -> Filename.chop_suffix n ".blob")
+       (Array.to_list (Sys.readdir (blobs_dir dir))))
+
+let contains ~sub s =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
+let check_no_tmp dir =
+  List.iter
+    (fun d ->
+      Array.iter
+        (fun n ->
+          if contains ~sub:".tmp." n then
+            Alcotest.failf "temp file %s left in %s" n d)
+        (Sys.readdir d))
+    [ dir; blobs_dir dir ]
+
+let check_exactly_referenced label dir =
+  let refs, _ = manifest dir in
+  Alcotest.(check (list string)) label refs (blob_files dir);
+  check_no_tmp dir
+
+let state_cfg ?(memo_entries = 8) dir =
+  { quiet_cfg with Sv.sv_state_dir = Some dir; sv_memo_entries = memo_entries }
+
+(* Past the memo's capacity, evicted states' blobs are unlinked with the
+   commit that drops them: blobs/ is the manifest's reference set. *)
+let test_blobs_exactly_referenced () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg ~memo_entries:2 dir) in
+      let third = replace ~sub:"return 1" ~by:"return 6" base_src in
+      List.iteri
+        (fun i line ->
+          ignore (Sv.handle_line srv line);
+          check_exactly_referenced (Printf.sprintf "after request %d" (i + 1)) dir;
+          Alcotest.(check bool) "at most memo-entries + 1 blobs" true
+            (List.length (blob_files dir) <= 3))
+        [ edit_req 1 base_src;
+          edit_req 2 dead_edit;
+          edit_req 3 live_edit;
+          edit_req 4 third;
+          edit_req 5 base_src;
+          op_req 6 "analyze"
+            ~extra:
+              [ ("roots", K.Json.Arr [ K.Json.Str "Main.main"; K.Json.Str "Dead.never" ]) ];
+        ];
+      let _, gen = manifest dir in
+      Alcotest.(check int) "the manifest carries the generation" (Sv.generation srv) gen)
+
+(* A memo hit's states are all on disk already: only the manifest is
+   rewritten. *)
+let test_memo_hit_one_write () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      ignore (run_all srv [ edit_req 1 base_src; edit_req 2 dead_edit ]);
+      let before = blob_files dir in
+      C.Io.reset_stats ();
+      let j = one_response (Sv.handle_line srv (edit_req 3 base_src)) in
+      (match K.Json.member "result" j with
+      | Some r -> Alcotest.(check string) "a memo hit" "memo" (str_member "strategy" r)
+      | None -> Alcotest.fail "no result");
+      Alcotest.(check int) "one atomic write" 1 (C.Io.stats ()).C.Io.writes;
+      Alcotest.(check (list string)) "no blob written or dropped" before
+        (blob_files dir))
+
+(* Kill the daemon (in process, exception-safely) before every IO
+   operation of a commit that writes one blob and drops another.  A
+   crash after the blob write but before the manifest's leaves an
+   orphan next to the old manifest; resume must come up on the manifest
+   on disk, and sweep the orphan and any temp file. *)
+let test_crash_between_blob_and_manifest () =
+  let prepare dir =
+    let srv = create_exn ~resume:false (state_cfg ~memo_entries:1 dir) in
+    ignore (run_all srv [ edit_req 1 base_src; edit_req 2 dead_edit ]);
+    srv
+  in
+  let commit srv = ignore (Sv.handle_line srv (edit_req 3 live_edit)) in
+  let total =
+    with_state_dir (fun dir ->
+        let srv = prepare dir in
+        C.Io.with_plan (C.Io.plan ~seed:0 ()) (fun () ->
+            commit srv;
+            C.Io.ops_performed ()))
+  in
+  let old_with_orphan = ref 0 in
+  for k = 0 to total - 1 do
+    with_state_dir (fun dir ->
+        let srv = prepare dir in
+        (match
+           C.Io.with_plan (C.Io.plan ~crash_at:k ~crash_exit:false ~seed:0 ())
+             (fun () -> commit srv)
+         with
+        | () -> Alcotest.failf "crash point %d never fired" k
+        | exception C.Io.Crash_point _ -> ());
+        let refs, gen = manifest dir in
+        if List.exists (fun b -> not (List.mem b refs)) (blob_files dir) && gen = 2
+        then incr old_with_orphan;
+        (* a crashed writer's temp files, as a SIGKILL would leave them *)
+        List.iter
+          (fun p -> close_out (open_out_bin p))
+          [ snap_file dir ^ ".tmp.4242";
+            Filename.concat (blobs_dir dir) "feed.blob.tmp.4242" ];
+        let srv' = create_exn ~resume:true (state_cfg ~memo_entries:1 dir) in
+        Alcotest.(check int)
+          (Printf.sprintf "crash at %d resumes the manifest on disk" k)
+          gen (Sv.generation srv');
+        Alcotest.(check bool) "with a resident state" true (Sv.state srv' <> None);
+        check_exactly_referenced (Printf.sprintf "crash at %d swept" k) dir)
+  done;
+  Alcotest.(check bool) "some crash left an orphan beside the old manifest" true
+    (!old_with_orphan > 0)
+
+(* The monolithic snapshot format is not read: a version-1 serve.snap is
+   a logged cold start. *)
+let test_v1_snapshot_cold_start () =
+  with_state_dir (fun dir ->
+      let warned = ref [] in
+      let cfg = { (state_cfg dir) with Sv.sv_log = (fun m -> warned := m :: !warned) } in
+      (match
+         C.Snapshot.write ~path:(snap_file dir) ~kind:"serve-state" ~version:1
+           "a version-1 payload"
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "write: %s" (C.Snapshot.error_message e));
+      let srv = create_exn ~resume:true cfg in
+      Alcotest.(check bool) "cold start" true (Sv.state srv = None);
+      Alcotest.(check bool) "logged" true
+        (List.exists (contains ~sub:"cold start") !warned);
+      let j = one_response (Sv.handle_line srv (edit_req 1 base_src)) in
+      Alcotest.(check bool) "and serves" true (bool_member "ok" j))
+
+(* A snapshot that fails (disk full) leaves the counter standing, so the
+   next mutation retries it rather than [--snapshot-every] later. *)
+let test_failed_snapshot_retried () =
+  with_state_dir (fun dir ->
+      let srv =
+        create_exn ~resume:false { (state_cfg dir) with Sv.sv_snapshot_every = 2 }
+      in
+      ignore (Sv.handle_line srv (edit_req 1 base_src));
+      Alcotest.(check bool) "below the period" false (Sys.file_exists (snap_file dir));
+      C.Io.with_plan
+        (C.Io.plan ~rate:1 ~faults:[ C.Io.F_enospc ] ~seed:1 ())
+        (fun () -> ignore (Sv.handle_line srv (edit_req 2 dead_edit)));
+      Alcotest.(check bool) "the full disk refused it" false
+        (Sys.file_exists (snap_file dir));
+      ignore (Sv.handle_line srv (edit_req 3 live_edit));
+      let _, gen = manifest dir in
+      Alcotest.(check int) "the next mutation wrote it" 3 gen)
+
 let suite =
   ( "serve",
     [
@@ -496,4 +674,14 @@ let suite =
         test_kill_resume_byte_identical;
       Alcotest.test_case "corrupt snapshot falls back to a cold start" `Quick
         test_corrupt_snapshot_cold_start;
+      Alcotest.test_case "blobs/ holds exactly the referenced blobs" `Quick
+        test_blobs_exactly_referenced;
+      Alcotest.test_case "a memo hit writes only the manifest" `Quick
+        test_memo_hit_one_write;
+      Alcotest.test_case "crash between blob and manifest resumes, sweeps" `Quick
+        test_crash_between_blob_and_manifest;
+      Alcotest.test_case "a version-1 snapshot is a logged cold start" `Quick
+        test_v1_snapshot_cold_start;
+      Alcotest.test_case "a failed snapshot is retried by the next mutation"
+        `Quick test_failed_snapshot_retried;
     ] )

@@ -46,6 +46,31 @@ let test_container_round_trip () =
       | Ok p -> Alcotest.(check string) "empty payload round-trips" "" p
       | Error e -> Alcotest.failf "empty read failed: %s" (C.Snapshot.error_message e))
 
+(* The sliced CRC must equal the textbook bytewise one on every length
+   residue, or blobs written by earlier builds would stop verifying. *)
+let test_crc32_known_answers () =
+  let bytewise s =
+    let c = ref 0xFFFFFFFF in
+    String.iter
+      (fun ch ->
+        c := !c lxor Char.code ch;
+        for _ = 0 to 7 do
+          c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+        done)
+      s;
+    !c lxor 0xFFFFFFFF
+  in
+  Alcotest.(check int) "check value" 0xCBF43926 (C.Snapshot.crc32 "123456789");
+  Alcotest.(check int) "empty" 0 (C.Snapshot.crc32 "");
+  for n = 0 to 9 do
+    let s = String.sub "abcdefghij" 0 n in
+    Alcotest.(check int) (Printf.sprintf "length %d" n) (bytewise s)
+      (C.Snapshot.crc32 s)
+  done;
+  let rng = Random.State.make [| 0xc3c |] in
+  let mb = String.init ((1 lsl 20) + 3) (fun _ -> Char.chr (Random.State.int rng 256)) in
+  Alcotest.(check int) "random MB" (bytewise mb) (C.Snapshot.crc32 mb)
+
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -352,6 +377,8 @@ let suite =
   ( "snapshot",
     [
       Alcotest.test_case "container round trip" `Quick test_container_round_trip;
+      Alcotest.test_case "crc32 known answers, equal to bytewise" `Quick
+        test_crc32_known_answers;
       Alcotest.test_case "container rejects every corruption class" `Quick
         test_container_rejects_corruption;
       Alcotest.test_case "pause+resume = straight run (corpus x config x mode)"
