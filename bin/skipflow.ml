@@ -80,18 +80,6 @@ let pval_arg =
            product (reduced product of constants and integer intervals — \
            predicate edges then filter ranges, not just constants)")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt int 1
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the fixed-point solve (default 1: the \
-           sequential engine, unchanged).  With N > 1 the PVPG is \
-           sharded by method over call-graph SCC regions and drained in \
-           parallel; the fixed point is identical, flow by flow, for \
-           every N")
-
 let durability_arg =
   Arg.(
     value
@@ -121,16 +109,16 @@ let analysis_arg =
           C.Config.skipflow
       & info [ "a"; "analysis" ] ~doc:"Analysis configuration: skipflow, pta, preds-only, prims-only")
   in
-  (* --pval and --jobs compose with every configuration, so every
-     subcommand that takes --analysis accepts them with no extra
-     plumbing.  --durability rides along the same way but is process
-     state, not configuration: like jobs it can never change results
-     (which is why the cache fingerprint ignores both). *)
+  (* --pval composes with every configuration, so every subcommand that
+     takes --analysis accepts it with no extra plumbing.  --durability
+     rides along the same way but is process state, not configuration:
+     it can never change results (which is why the cache fingerprint
+     ignores it). *)
   Term.(
-    const (fun config pval jobs durability ->
+    const (fun config pval durability ->
         C.Io.set_durability durability;
-        { config with C.Config.pval; jobs = max 1 jobs })
-    $ base $ pval_arg $ jobs_arg $ durability_arg)
+        { config with C.Config.pval })
+    $ base $ pval_arg $ durability_arg)
 
 let roots_arg =
   Arg.(value & opt_all string [] & info [ "root" ] ~docv:"Class.method" ~doc:"Root method (repeatable); defaults to the static main")
@@ -232,9 +220,8 @@ let analyze_summary_json ~file ~config ~mode ~timings (s : Api.summary) =
           ] );
     ]
     @
-    (* timings, phases and counters are run-dependent (and, under
-       --jobs, schedule-dependent); dropping them makes summaries
-       byte-comparable across runs and job counts *)
+    (* timings, phases and counters are run-dependent; dropping them
+       makes summaries byte-comparable across runs *)
     if not timings then []
     else
       [
@@ -245,24 +232,11 @@ let analyze_summary_json ~file ~config ~mode ~timings (s : Api.summary) =
       ])
 
 let format_arg =
-  let deprecated_json =
-    Arg.(
-      value
-      & flag
-      & info [ "json" ]
-          ~deprecated:"use $(b,--format json) instead"
-          ~doc:"Deprecated alias for $(b,--format json)")
-  in
-  let fmt =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT"
-          ~doc:"Output format: text (human-readable) or json (schema-versioned summary)")
-  in
-  Term.(
-    const (fun fmt deprecated -> if deprecated then `Json else fmt)
-    $ fmt $ deprecated_json)
+  Arg.(
+    value
+    & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
+    & info [ "format" ] ~docv:"FMT"
+        ~doc:"Output format: text (human-readable) or json (schema-versioned summary)")
 
 let trace_arg =
   Arg.(
@@ -288,9 +262,7 @@ let analyze_no_timings_arg =
     & info [ "no-timings" ]
         ~doc:
           "Omit wall/CPU times, phases, and counters from the output, \
-           making summaries byte-comparable across runs and across \
-           $(b,--jobs) values (scheduling changes counters, never \
-           results)")
+           making summaries byte-comparable across runs")
 
 let snapshot_arg =
   Arg.(
@@ -642,7 +614,7 @@ let run_cmd =
 (* -------------------------------- fuzz -------------------------------- *)
 
 let fuzz_cmd =
-  let run seeds quiet crash chaos jobs =
+  let run seeds quiet crash chaos =
     let progress =
       if quiet then fun _ -> ()
       else if chaos then fun s ->
@@ -650,9 +622,7 @@ let fuzz_cmd =
       else fun s ->
         if (s + 1) mod 25 = 0 then Format.eprintf "fuzz: %d/%d seeds@." (s + 1) seeds
     in
-    let report =
-      Skipflow_fuzz.Fuzz.run ~progress ~crash ~chaos ~jobs:(max 1 jobs) ~seeds ()
-    in
+    let report = Skipflow_fuzz.Fuzz.run ~progress ~crash ~chaos ~seeds () in
     Format.printf "%a@." Skipflow_fuzz.Fuzz.pp_report report;
     if report.Skipflow_fuzz.Fuzz.r_failures <> [] then exit exit_analysis_error
   in
@@ -682,20 +652,10 @@ let fuzz_cmd =
              miss — never a torn read; seeded EIO/ENOSPC/EINTR/\
              short-write/torn-rename fault plans run on top")
   in
-  let fuzz_jobs =
-    Arg.(
-      value
-      & opt int 1
-      & info [ "jobs" ] ~docv:"N"
-          ~doc:
-            "Run the deterministic-order cases of the matrix on the \
-             sharded parallel solver with N worker domains (same \
-             oracles, same expected fixed points)")
-  in
   Cmd.v
     (Cmd.info "fuzz"
        ~doc:"Fuzz the pipeline: generated programs, every configuration, random worklist orders, tiny budgets; certify every fixed point against the interpreter")
-    Term.(const run $ seeds $ quiet $ crash $ chaos $ fuzz_jobs)
+    Term.(const run $ seeds $ quiet $ crash $ chaos)
 
 (* -------------------------------- batch ------------------------------- *)
 
@@ -973,17 +933,10 @@ let load_manifest path =
 let batch_cmd =
   let run manifest config roots mode max_tasks timeout max_flows allow_degraded
       timeout_per_job retries cache_dir journal resume quarantine no_isolate
-      no_timings solver_jobs out =
+      no_timings out =
     let timings = not no_timings in
     let config =
       { config with C.Config.budget = budget_of ~max_tasks ~timeout ~max_flows }
-    in
-    (* [--solver-jobs] overrides [--jobs]; either way the value rides in
-       the config into each forked worker *)
-    let config =
-      match solver_jobs with
-      | Some n -> { config with C.Config.jobs = max 1 n }
-      | None -> config
     in
     if resume && journal = None then begin
       Format.eprintf "error: --resume needs --journal@.";
@@ -1284,22 +1237,6 @@ let batch_cmd =
             "Zero all wall_us fields, making summaries byte-comparable \
              across runs")
   in
-  let solver_jobs_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "solver-jobs" ] ~docv:"N"
-          ~doc:
-            "Worker domains for the fixed-point solve $(i,inside) each \
-             job's worker process (overrides $(b,--jobs)).  Batch has \
-             two distinct parallelism levels: the driver forks one \
-             isolated worker process per manifest job (crash \
-             containment, per-job watchdog; jobs still run one at a \
-             time), and within a worker the solver can shard the PVPG \
-             across N domains.  This flag sets only the inner, \
-             per-solve level; it never changes results (the result \
-             cache deliberately ignores it)")
-  in
   let out_arg =
     Arg.(
       value
@@ -1318,7 +1255,7 @@ let batch_cmd =
       $ max_tasks_arg $ timeout_arg $ max_flows_arg $ allow_degraded_arg
       $ timeout_per_job_arg $ retries_arg $ cache_arg $ journal_arg
       $ resume_arg $ quarantine_arg $ no_isolate_arg $ no_timings_arg
-      $ solver_jobs_arg $ out_arg)
+      $ out_arg)
 
 (* -------------------------------- serve ------------------------------- *)
 
@@ -1762,25 +1699,6 @@ let profile_cmd =
               (C.Config.name config)
               s.Api.metrics.C.Metrics.reachable_methods;
             Format.printf "%a@.%a@." C.Trace.pp_phases trace C.Trace.pp_counters trace;
-            (* per-shard utilization of the parallel pre-pass (the
-               ["par.*"] counters exist only when --jobs > 1 actually
-               sharded the solve) *)
-            (let cs = C.Trace.counters trace in
-             let v name = Option.value ~default:0 (List.assoc_opt name cs) in
-             let shards = v "par.shards" in
-             if shards > 0 then begin
-               Format.printf
-                 "@.parallel shards (%d domains over %d call-graph regions):@."
-                 shards (v "par.regions");
-               Format.printf "  %5s %10s %8s %9s %9s %7s %9s@." "shard"
-                 "weight" "tasks" "sent" "recv" "q_hwm" "idle_us";
-               for i = 0 to shards - 1 do
-                 let sv name = v (Printf.sprintf "par.shard%d.%s" i name) in
-                 Format.printf "  %5d %10d %8d %9d %9d %7d %9d@." i
-                   (sv "weight") (sv "tasks") (sv "msgs_sent")
-                   (sv "msgs_recv") (sv "queue_hwm") (sv "idle_us")
-               done
-             end);
             let take n l = List.filteri (fun i _ -> i < n) l in
             Format.printf "@.event kinds:@.";
             List.iter

@@ -38,13 +38,6 @@ type t = {
   budget : Budget.t;
       (** resource caps for {!Engine.run}; on trip the engine degrades
           precision (never correctness) instead of aborting *)
-  jobs : int;
-      (** worker domains for the solve ({!Engine.run}); 1 (the default)
-          is the sequential engine, byte-identical to every release
-          before the parallel solver existed.  The fixed point is the
-          same for every value — [jobs] is a throughput knob, never a
-          precision knob — which is why {!Cache} deliberately leaves it
-          out of its key *)
 }
 
 let skipflow =
@@ -55,7 +48,6 @@ let skipflow =
     saturation = None;
     seed_root_params = true;
     budget = Budget.unlimited;
-    jobs = 1;
   }
 
 (** The baseline points-to analysis of the paper's evaluation. *)
@@ -80,6 +72,5 @@ let pp ppf c =
   Format.fprintf ppf "%s%s%s" (name c)
     (match c.pval with Pval.Flat -> "" | Pval.Product -> "[pval=product]")
     (match c.saturation with None -> "" | Some k -> Printf.sprintf "+sat%d" k);
-  if c.jobs > 1 then Format.fprintf ppf "[jobs=%d]" c.jobs;
   if not (Budget.is_unlimited c.budget) then
     Format.fprintf ppf "[%a]" Budget.pp c.budget

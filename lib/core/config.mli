@@ -27,11 +27,6 @@ type t = {
           switches to degradation mode — saturate object flows, widen
           primitive flows to [Any], and finish at a sound but coarser
           fixed point — instead of aborting *)
-  jobs : int;
-      (** worker domains for the solve; 1 (the default in every preset)
-          runs the sequential engine unchanged.  With [jobs > 1] the
-          deduplicated engine shards the PVPG by method ({!Shard}) and
-          drains in parallel — same fixed point, flow by flow *)
 }
 
 val skipflow : t

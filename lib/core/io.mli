@@ -42,7 +42,7 @@ type durability =
 val set_durability : durability -> unit
 (** Process-wide; set once at CLI startup.  Deliberately {e not} part of
     {!Config.t}: durability changes when bytes are safe, never what they
-    are, exactly like [Config.jobs]. *)
+    are. *)
 
 val durability : unit -> durability
 

@@ -85,7 +85,6 @@ let create ?(timers = false) ?(events = false) ?(max_events = 1_000_000) () =
     n_dropped = 0;
   }
 
-let timers_on t = t.tr_timers
 let events_on t = t.tr_events
 
 let counter t name =

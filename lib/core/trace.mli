@@ -51,7 +51,6 @@ val create : ?timers:bool -> ?events:bool -> ?max_events:int -> unit -> t
     [max_events] (default 1_000_000; past it events are counted but
     dropped).  Counters are always available. *)
 
-val timers_on : t -> bool
 val events_on : t -> bool
 
 val counter : t -> string -> counter

@@ -105,7 +105,7 @@ let reachable_set (r : C.Analysis.result) =
     unlimited-budget fixed point of the same configuration). *)
 type expect = Exact | Superset
 
-let fuzz_seed ?(jobs = 1) seed =
+let fuzz_seed seed =
   let failures = ref [] in
   let runs = ref 0 and degraded = ref 0 and lint_checked = ref 0 in
   let prim_checked = ref 0 in
@@ -139,11 +139,6 @@ let fuzz_seed ?(jobs = 1) seed =
       in
       List.iter
         (fun (cname, base_cfg) ->
-          (* [jobs] rides into every case: the FIFO ones exercise the
-             sharded parallel solve (including budget trips mid-pre-pass),
-             the random-order ones fall back to the sequential drain by
-             design *)
-          let base_cfg = { base_cfg with C.Config.jobs } in
           let tiny = { base_cfg with C.Config.budget = C.Budget.tiny } in
           let cases =
             [
@@ -1020,19 +1015,16 @@ let chaos_seed seed =
     crash-injection matrix (snapshot + cache corruption) on every seed.
     [chaos] additionally runs the syscall-level crash-point matrix
     ({!chaos_seed}: forked kills before every IO operation of every
-    durable-write site, plus seeded fault plans).  [jobs] (default 1)
-    runs every deterministic-order case of the matrix on the sharded
-    parallel solver instead — same oracles, same expected fixed
-    points. *)
-let run ?(progress = fun _ -> ()) ?(crash = false) ?(chaos = false)
-    ?(jobs = 1) ~seeds () : report =
+    durable-write site, plus seeded fault plans). *)
+let run ?(progress = fun _ -> ()) ?(crash = false) ?(chaos = false) ~seeds () :
+    report =
   let failures = ref [] and runs = ref 0 and degraded = ref 0 in
   let lint_checked = ref 0 and crash_checked = ref 0 in
   let prim_checked = ref 0 in
   let serve_checked = ref 0 in
   let chaos_checked = ref 0 in
   for s = 0 to seeds - 1 do
-    let fs, r, d, l, p = fuzz_seed ~jobs s in
+    let fs, r, d, l, p = fuzz_seed s in
     failures := List.rev_append fs !failures;
     runs := !runs + r;
     degraded := !degraded + d;

@@ -100,7 +100,11 @@ let mode_name = function
 let serve_snapshot_kind = "serve-state"
 let serve_snapshot_version = 2
 let blob_kind = "serve-blob"
-let blob_version = 1
+
+(* A blob wraps an engine image that {!I.thaw} decodes unchecked, so it
+   carries the engine's version: a blob written under an older engine
+   layout is a [Bad_version] cold start, never a bad decode. *)
+let blob_version = C.Engine.snapshot_version
 let snap_path dir = Filename.concat dir "serve.snap"
 let journal_path dir = Filename.concat dir "journal.jsonl"
 let blob_dir dir = Filename.concat dir "blobs"

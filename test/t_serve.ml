@@ -615,24 +615,52 @@ let test_crash_between_blob_and_manifest () =
   Alcotest.(check bool) "some crash left an orphan beside the old manifest" true
     (!old_with_orphan > 0)
 
+(* resuming from [dir] logs a cold start, then serves an edit *)
+let check_logged_cold_start dir =
+  let warned = ref [] in
+  let cfg = { (state_cfg dir) with Sv.sv_log = (fun m -> warned := m :: !warned) } in
+  let srv = create_exn ~resume:true cfg in
+  Alcotest.(check bool) "cold start" true (Sv.state srv = None);
+  Alcotest.(check bool) "logged" true
+    (List.exists (contains ~sub:"cold start") !warned);
+  let j = one_response (Sv.handle_line srv (edit_req 1 base_src)) in
+  Alcotest.(check bool) "and serves" true (bool_member "ok" j)
+
 (* The monolithic snapshot format is not read: a version-1 serve.snap is
    a logged cold start. *)
 let test_v1_snapshot_cold_start () =
   with_state_dir (fun dir ->
-      let warned = ref [] in
-      let cfg = { (state_cfg dir) with Sv.sv_log = (fun m -> warned := m :: !warned) } in
       (match
          C.Snapshot.write ~path:(snap_file dir) ~kind:"serve-state" ~version:1
            "a version-1 payload"
        with
       | Ok () -> ()
       | Error e -> Alcotest.failf "write: %s" (C.Snapshot.error_message e));
-      let srv = create_exn ~resume:true cfg in
-      Alcotest.(check bool) "cold start" true (Sv.state srv = None);
-      Alcotest.(check bool) "logged" true
-        (List.exists (contains ~sub:"cold start") !warned);
-      let j = one_response (Sv.handle_line srv (edit_req 1 base_src)) in
-      Alcotest.(check bool) "and serves" true (bool_member "ok" j))
+      check_logged_cold_start dir)
+
+(* A valid manifest whose resident blob was written under an older
+   engine layout: the blob's version gives it away before its image is
+   decoded, so the daemon logs a cold start and serves. *)
+let test_stale_blob_cold_start () =
+  with_state_dir (fun dir ->
+      let srv = create_exn ~resume:false (state_cfg dir) in
+      ignore (Sv.handle_line srv (edit_req 1 base_src));
+      Sv.finalize srv;
+      let blob =
+        match manifest dir with
+        | [ name ], _ -> Filename.concat (blobs_dir dir) (name ^ ".blob")
+        | _ -> Alcotest.fail "expected one referenced blob"
+      in
+      let version = C.Engine.snapshot_version in
+      (match
+         Result.bind
+           (C.Snapshot.read ~path:blob ~kind:"serve-blob" ~version)
+           (C.Snapshot.write ~path:blob ~kind:"serve-blob" ~version:(version - 1))
+       with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "restamp: %s" (C.Snapshot.error_message e));
+      Sys.remove (Filename.concat dir "journal.jsonl");
+      check_logged_cold_start dir)
 
 (* A snapshot that fails (disk full) leaves the counter standing, so the
    next mutation retries it rather than [--snapshot-every] later. *)
@@ -682,6 +710,8 @@ let suite =
         test_crash_between_blob_and_manifest;
       Alcotest.test_case "a version-1 snapshot is a logged cold start" `Quick
         test_v1_snapshot_cold_start;
+      Alcotest.test_case "a stale-version blob is a logged cold start" `Quick
+        test_stale_blob_cold_start;
       Alcotest.test_case "a failed snapshot is retried by the next mutation"
         `Quick test_failed_snapshot_retried;
     ] )
