@@ -1,5 +1,10 @@
 (** Hand-written lexer for MiniJava.  Supports [//] line comments and
-    [/* ... */] block comments (non-nesting, as in Java). *)
+    [/* ... */] block comments (non-nesting, as in Java).
+
+    The lexer is a pull stream: {!token} scans one token and leaves its
+    position in [tok_line] / [tok_col].  Nothing is allocated per
+    character; a token allocates only a word's lexeme (an identifier or
+    keyword) or an [INT] box. *)
 
 type pos = { line : int; col : int }
 
@@ -9,117 +14,164 @@ exception Error of string * pos
 
 type t = {
   src : string;
+  len : int;
   mutable off : int;
-  mutable line : int;
+  mutable lnum : int;  (** current line (not [line], which names [pos.line]) *)
   mutable bol : int;  (** offset of the beginning of the current line *)
+  mutable tok_line : int;  (** position of the last token {!token} returned *)
+  mutable tok_col : int;
 }
 
-let create src = { src; off = 0; line = 1; bol = 0 }
-let pos lx = { line = lx.line; col = lx.off - lx.bol + 1 }
-let errorf lx fmt = Format.kasprintf (fun s -> raise (Error (s, pos lx))) fmt
-let peek lx = if lx.off < String.length lx.src then Some lx.src.[lx.off] else None
+let create src =
+  { src; len = String.length src; off = 0; lnum = 1; bol = 0; tok_line = 1; tok_col = 1 }
 
-let advance lx =
-  (match peek lx with
-  | Some '\n' ->
-      lx.line <- lx.line + 1;
-      lx.bol <- lx.off + 1
-  | _ -> ());
-  lx.off <- lx.off + 1
+let errorf ~line ~col fmt =
+  Format.kasprintf (fun s -> raise (Error (s, { line; col }))) fmt
 
-let is_digit c = c >= '0' && c <= '9'
-let is_ident_start c = (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z') || c = '_'
-let is_ident_char c = is_ident_start c || is_digit c
+let is_digit = function '0' .. '9' -> true | _ -> false
+
+let is_ident_char = function
+  | 'a' .. 'z' | 'A' .. 'Z' | '_' | '0' .. '9' -> true
+  | _ -> false
+
+let next_is lx c =
+  let i = lx.off + 1 in
+  i < lx.len && Char.equal (String.unsafe_get lx.src i) c
+
+let newline lx =
+  lx.off <- lx.off + 1;
+  lx.lnum <- lx.lnum + 1;
+  lx.bol <- lx.off
+
+(* [off] is at the opening [/*]; an unclosed comment is reported there *)
+let skip_block_comment lx =
+  let line = lx.lnum and col = lx.off - lx.bol + 1 in
+  lx.off <- lx.off + 2;
+  let closed = ref false in
+  while not !closed do
+    if lx.off >= lx.len then errorf ~line ~col "unterminated block comment";
+    match String.unsafe_get lx.src lx.off with
+    | '*' when next_is lx '/' ->
+        lx.off <- lx.off + 2;
+        closed := true
+    | '\n' -> newline lx
+    | _ -> lx.off <- lx.off + 1
+  done
 
 let rec skip_ws lx =
-  match peek lx with
-  | Some (' ' | '\t' | '\r' | '\n') ->
-      advance lx;
-      skip_ws lx
-  | Some '/' when lx.off + 1 < String.length lx.src && lx.src.[lx.off + 1] = '/' ->
-      while peek lx <> None && peek lx <> Some '\n' do
-        advance lx
-      done;
-      skip_ws lx
-  | Some '/' when lx.off + 1 < String.length lx.src && lx.src.[lx.off + 1] = '*' ->
-      advance lx;
-      advance lx;
-      let rec close () =
-        match peek lx with
-        | None -> errorf lx "unterminated block comment"
-        | Some '*' when lx.off + 1 < String.length lx.src && lx.src.[lx.off + 1] = '/' ->
-            advance lx;
-            advance lx
-        | Some _ ->
-            advance lx;
-            close ()
-      in
-      close ();
-      skip_ws lx
-  | _ -> ()
+  if lx.off < lx.len then
+    match String.unsafe_get lx.src lx.off with
+    | ' ' | '\t' | '\r' ->
+        lx.off <- lx.off + 1;
+        skip_ws lx
+    | '\n' ->
+        newline lx;
+        skip_ws lx
+    | '/' when next_is lx '/' ->
+        while lx.off < lx.len && not (Char.equal (String.unsafe_get lx.src lx.off) '\n') do
+          lx.off <- lx.off + 1
+        done;
+        skip_ws lx
+    | '/' when next_is lx '*' ->
+        skip_block_comment lx;
+        skip_ws lx
+    | _ -> ()
 
-(** [next lx] returns the next token with the position of its first
-    character. *)
-let next lx : Token.t * pos =
+let keyword_or_ident (s : string) : Token.t =
+  match s with
+  | "class" -> KW_CLASS
+  | "extends" -> KW_EXTENDS
+  | "abstract" -> KW_ABSTRACT
+  | "static" -> KW_STATIC
+  | "var" -> KW_VAR
+  | "if" -> KW_IF
+  | "else" -> KW_ELSE
+  | "while" -> KW_WHILE
+  | "return" -> KW_RETURN
+  | "new" -> KW_NEW
+  | "null" -> KW_NULL
+  | "this" -> KW_THIS
+  | "true" -> KW_TRUE
+  | "false" -> KW_FALSE
+  | "instanceof" -> KW_INSTANCEOF
+  | "int" -> KW_INT
+  | "boolean" -> KW_BOOLEAN
+  | "void" -> KW_VOID
+  | "throw" -> KW_THROW
+  | _ -> IDENT s
+
+(* the decimal literal [src.[start .. stop-1]], reported at its first
+   character when it exceeds [max_int] *)
+let int_literal lx start stop : Token.t =
+  let n = ref 0 in
+  for i = start to stop - 1 do
+    let d = Char.code (String.unsafe_get lx.src i) - Char.code '0' in
+    if !n > (max_int - d) / 10 then
+      errorf ~line:lx.tok_line ~col:lx.tok_col "integer literal out of range: %s"
+        (String.sub lx.src start (stop - start));
+    n := (!n * 10) + d
+  done;
+  INT !n
+
+let one lx (tok : Token.t) =
+  lx.off <- lx.off + 1;
+  tok
+
+let two lx (tok : Token.t) =
+  lx.off <- lx.off + 2;
+  tok
+
+(** [token lx] scans the next token and records the position of its first
+    character in [lx.tok_line] / [lx.tok_col].  At end of input it
+    returns [EOF], and keeps returning it.
+    @raise Error on a lexical error. *)
+let token lx : Token.t =
   skip_ws lx;
-  let p = pos lx in
-  match peek lx with
-  | None -> (Token.EOF, p)
-  | Some c when is_digit c ->
-      let start = lx.off in
-      while (match peek lx with Some c -> is_digit c | None -> false) do
-        advance lx
-      done;
-      let s = String.sub lx.src start (lx.off - start) in
-      (match int_of_string_opt s with
-      | Some n -> (Token.INT n, p)
-      | None -> errorf lx "integer literal out of range: %s" s)
-  | Some c when is_ident_start c ->
-      let start = lx.off in
-      while (match peek lx with Some c -> is_ident_char c | None -> false) do
-        advance lx
-      done;
-      let s = String.sub lx.src start (lx.off - start) in
-      ((match List.assoc_opt s Token.keyword_table with
-       | Some kw -> kw
-       | None -> Token.IDENT s),
-       p)
-  | Some c ->
-      let two tok = advance lx; advance lx; (tok, p) in
-      let one tok = advance lx; (tok, p) in
-      let ahead = if lx.off + 1 < String.length lx.src then Some lx.src.[lx.off + 1] else None in
-      (match (c, ahead) with
-      | '=', Some '=' -> two Token.EQ
-      | '=', _ -> one Token.ASSIGN
-      | '!', Some '=' -> two Token.NE
-      | '!', _ -> one Token.BANG
-      | '<', Some '=' -> two Token.LE
-      | '<', _ -> one Token.LT
-      | '>', Some '=' -> two Token.GE
-      | '>', _ -> one Token.GT
-      | '&', Some '&' -> two Token.ANDAND
-      | '|', Some '|' -> two Token.OROR
-      | '{', _ -> one Token.LBRACE
-      | '}', _ -> one Token.RBRACE
-      | '(', _ -> one Token.LPAREN
-      | ')', _ -> one Token.RPAREN
-      | '[', _ -> one Token.LBRACKET
-      | ']', _ -> one Token.RBRACKET
-      | ';', _ -> one Token.SEMI
-      | ',', _ -> one Token.COMMA
-      | '.', _ -> one Token.DOT
-      | '+', _ -> one Token.PLUS
-      | '-', _ -> one Token.MINUS
-      | '*', _ -> one Token.STAR
-      | '/', _ -> one Token.SLASH
-      | '%', _ -> one Token.PERCENT
-      | _ -> errorf lx "unexpected character %C" c)
+  let start = lx.off in
+  lx.tok_line <- lx.lnum;
+  lx.tok_col <- start - lx.bol + 1;
+  if start >= lx.len then EOF
+  else
+    match String.unsafe_get lx.src start with
+    | '0' .. '9' ->
+        while lx.off < lx.len && is_digit (String.unsafe_get lx.src lx.off) do
+          lx.off <- lx.off + 1
+        done;
+        int_literal lx start lx.off
+    | 'a' .. 'z' | 'A' .. 'Z' | '_' ->
+        while lx.off < lx.len && is_ident_char (String.unsafe_get lx.src lx.off) do
+          lx.off <- lx.off + 1
+        done;
+        keyword_or_ident (String.sub lx.src start (lx.off - start))
+    | '=' -> if next_is lx '=' then two lx EQ else one lx ASSIGN
+    | '!' -> if next_is lx '=' then two lx NE else one lx BANG
+    | '<' -> if next_is lx '=' then two lx LE else one lx LT
+    | '>' -> if next_is lx '=' then two lx GE else one lx GT
+    | '&' when next_is lx '&' -> two lx ANDAND
+    | '|' when next_is lx '|' -> two lx OROR
+    | '{' -> one lx LBRACE
+    | '}' -> one lx RBRACE
+    | '(' -> one lx LPAREN
+    | ')' -> one lx RPAREN
+    | '[' -> one lx LBRACKET
+    | ']' -> one lx RBRACKET
+    | ';' -> one lx SEMI
+    | ',' -> one lx COMMA
+    | '.' -> one lx DOT
+    | '+' -> one lx PLUS
+    | '-' -> one lx MINUS
+    | '*' -> one lx STAR
+    | '/' -> one lx SLASH
+    | '%' -> one lx PERCENT
+    | c -> errorf ~line:lx.tok_line ~col:lx.tok_col "unexpected character %C" c
 
-(** Tokenize the whole input (used by tests and by the parser). *)
+(** Tokenize the whole input, each token with the position of its first
+    character (the list view the tests use; the parser pulls {!token}). *)
 let tokenize src =
   let lx = create src in
   let rec go acc =
-    let tok, p = next lx in
-    if tok = Token.EOF then List.rev ((tok, p) :: acc) else go ((tok, p) :: acc)
+    let tok = token lx in
+    let acc = (tok, { line = lx.tok_line; col = lx.tok_col }) :: acc in
+    match tok with EOF -> List.rev acc | _ -> go acc
   in
   go []

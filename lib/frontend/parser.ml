@@ -10,27 +10,83 @@
 
 exception Error of string * Lexer.pos
 
+(* Tokens are pulled from the lexer on demand into a lookahead ring of
+   parallel token / line / column arrays.  The ring grows when a lookahead
+   needs it ([looks_like_cast] can look past any number of [[]]). *)
 type t = {
-  toks : (Token.t * Lexer.pos) array;
-  mutable i : int;
+  lx : Lexer.t;
+  mutable toks : Token.t array;
+  mutable lines : int array;
+  mutable cols : int array;
+  mutable head : int;  (** ring index of the current token *)
+  mutable count : int;  (** buffered tokens from [head] on, at least 1 *)
   mutable recovering : bool;
       (** accumulate diagnostics and resynchronize instead of raising out
           of the statement / member / class loops *)
   mutable diags : Diag.t list;  (** newest first *)
 }
 
+let push p =
+  let cap = Array.length p.toks in
+  if p.count = cap then begin
+    (* unroll the ring into arrays twice the size *)
+    let unroll a fill =
+      Array.init (2 * cap) (fun k -> if k < cap then a.((p.head + k) land (cap - 1)) else fill)
+    in
+    p.toks <- unroll p.toks Token.EOF;
+    p.lines <- unroll p.lines 0;
+    p.cols <- unroll p.cols 0;
+    p.head <- 0
+  end;
+  let tok = Lexer.token p.lx in
+  let j = (p.head + p.count) land (Array.length p.toks - 1) in
+  p.toks.(j) <- tok;
+  p.lines.(j) <- p.lx.Lexer.tok_line;
+  p.cols.(j) <- p.lx.Lexer.tok_col;
+  p.count <- p.count + 1
+
 let of_string src =
-  { toks = Array.of_list (Lexer.tokenize src); i = 0; recovering = false; diags = [] }
-let peek p = fst p.toks.(p.i)
-let peek2 p = if p.i + 1 < Array.length p.toks then fst p.toks.(p.i + 1) else Token.EOF
-let peekn p n = if p.i + n < Array.length p.toks then fst p.toks.(p.i + n) else Token.EOF
-let pos p = snd p.toks.(p.i)
+  let cap = 16 in
+  let p =
+    {
+      lx = Lexer.create src;
+      toks = Array.make cap Token.EOF;
+      lines = Array.make cap 0;
+      cols = Array.make cap 0;
+      head = 0;
+      count = 0;
+      recovering = false;
+      diags = [];
+    }
+  in
+  push p;
+  p
+
+let peek p = p.toks.(p.head)
+
+(** The token [n] ahead of the current one; [EOF] past the end. *)
+let peekn p n =
+  while p.count <= n do
+    push p
+  done;
+  p.toks.((p.head + n) land (Array.length p.toks - 1))
+
+let peek2 p = peekn p 1
+let at p tok = Token.equal (peek p) tok
+let pos p = { Lexer.line = p.lines.(p.head); col = p.cols.(p.head) }
 let errorf p fmt = Format.kasprintf (fun s -> raise (Error (s, pos p))) fmt
 
-let advance p = if p.i + 1 < Array.length p.toks then p.i <- p.i + 1
+(* never moves past [EOF] *)
+let advance p =
+  match peek p with
+  | Token.EOF -> ()
+  | _ ->
+      p.head <- (p.head + 1) land (Array.length p.toks - 1);
+      p.count <- p.count - 1;
+      if p.count = 0 then push p
 
 let eat p tok =
-  if peek p = tok then advance p
+  if at p tok then advance p
   else errorf p "expected '%s' but found '%s'" (Token.to_string tok) (Token.to_string (peek p))
 
 let ident p =
@@ -41,7 +97,7 @@ let ident p =
   | t -> errorf p "expected identifier but found '%s'" (Token.to_string t)
 
 let rec with_array_suffix p base =
-  if peek p = Token.LBRACKET && peek2 p = Token.RBRACKET then begin
+  if at p Token.LBRACKET && Token.equal (peek2 p) Token.RBRACKET then begin
     advance p;
     advance p;
     with_array_suffix p (Ast.Tarr base)
@@ -66,10 +122,6 @@ let parse_ty p : Ast.ty =
     | t -> errorf p "expected a type but found '%s'" (Token.to_string t)
   in
   with_array_suffix p base
-
-let is_ty_start = function
-  | Token.KW_INT | Token.KW_BOOLEAN | Token.KW_VOID | Token.IDENT _ -> true
-  | _ -> false
 
 (* ------------------------------ recovery ------------------------------- *)
 
@@ -135,7 +187,7 @@ let rec parse_expr p : Ast.expr = parse_or p
 
 and parse_or p =
   let lhs = ref (parse_and p) in
-  while peek p = Token.OROR do
+  while at p Token.OROR do
     let ps = pos p in
     advance p;
     let rhs = parse_and p in
@@ -145,7 +197,7 @@ and parse_or p =
 
 and parse_and p =
   let lhs = ref (parse_eq p) in
-  while peek p = Token.ANDAND do
+  while at p Token.ANDAND do
     let ps = pos p in
     advance p;
     let rhs = parse_eq p in
@@ -193,7 +245,7 @@ and parse_add p =
   let rec go () =
     match peek p with
     | Token.PLUS | Token.MINUS ->
-        let op = if peek p = Token.PLUS then Ast.Add else Ast.Sub in
+        let op = if at p Token.PLUS then Ast.Add else Ast.Sub in
         let ps = pos p in
         advance p;
         let rhs = parse_mul p in
@@ -228,16 +280,18 @@ and parse_mul p =
 (* '(' TYPE ('[' ']')* ')' followed by an expression-start token is a
    cast; anything else starting with '(' is a parenthesized expression *)
 and looks_like_cast p =
-  peek p = Token.LPAREN
+  at p Token.LPAREN
   && (match peek2 p with Token.IDENT _ -> true | _ -> false)
   &&
   let rec after_brackets n =
-    if peekn p n = Token.LBRACKET && peekn p (n + 1) = Token.RBRACKET then
-      after_brackets (n + 2)
+    if
+      Token.equal (peekn p n) Token.LBRACKET
+      && Token.equal (peekn p (n + 1)) Token.RBRACKET
+    then after_brackets (n + 2)
     else n
   in
   let n = after_brackets 2 in
-  peekn p n = Token.RPAREN
+  Token.equal (peekn p n) Token.RPAREN
   &&
   match peekn p (n + 1) with
   | Token.IDENT _ | Token.KW_THIS | Token.KW_NEW | Token.KW_NULL | Token.LPAREN -> true
@@ -270,18 +324,18 @@ and parse_unary p =
 and parse_postfix p =
   let e = ref (parse_primary p) in
   let rec go () =
-    if peek p = Token.DOT then begin
+    if at p Token.DOT then begin
       let ps = pos p in
       advance p;
       let name = ident p in
-      if peek p = Token.LPAREN then begin
+      if at p Token.LPAREN then begin
         let args = parse_args p in
         e := { Ast.e = Ast.Call (Some !e, name, args); pos = ps }
       end
       else e := { Ast.e = Ast.FieldGet (!e, name); pos = ps };
       go ()
     end
-    else if peek p = Token.LBRACKET && peek2 p <> Token.RBRACKET then begin
+    else if at p Token.LBRACKET && not (Token.equal (peek2 p) Token.RBRACKET) then begin
       let ps = pos p in
       advance p;
       let idx = parse_expr p in
@@ -295,14 +349,14 @@ and parse_postfix p =
 
 and parse_args p =
   eat p Token.LPAREN;
-  if peek p = Token.RPAREN then begin
+  if at p Token.RPAREN then begin
     advance p;
     []
   end
   else begin
     let rec go acc =
       let e = parse_expr p in
-      if peek p = Token.COMMA then begin
+      if at p Token.COMMA then begin
         advance p;
         go (e :: acc)
       end
@@ -369,7 +423,7 @@ and parse_primary p =
       e
   | Token.IDENT name ->
       advance p;
-      if peek p = Token.LPAREN then
+      if at p Token.LPAREN then
         let args = parse_args p in
         { Ast.e = Ast.Call (None, name, args); pos = ps }
       else { Ast.e = Ast.Ident name; pos = ps }
@@ -380,11 +434,11 @@ and parse_primary p =
 let rec parse_block p : Ast.stmt list =
   eat p Token.LBRACE;
   let rec go acc =
-    if peek p = Token.RBRACE then begin
+    if at p Token.RBRACE then begin
       advance p;
       List.rev acc
     end
-    else if p.recovering && peek p = Token.EOF then begin
+    else if p.recovering && at p Token.EOF then begin
       record p "expected '}' before end of input" (pos p);
       List.rev acc
     end
@@ -409,9 +463,9 @@ and parse_stmt p : Ast.stmt =
       eat p Token.RPAREN;
       let thn = parse_block p in
       let els =
-        if peek p = Token.KW_ELSE then begin
+        if at p Token.KW_ELSE then begin
           advance p;
-          if peek p = Token.KW_IF then [ parse_stmt p ] else parse_block p
+          if at p Token.KW_IF then [ parse_stmt p ] else parse_block p
         end
         else []
       in
@@ -430,7 +484,7 @@ and parse_stmt p : Ast.stmt =
       { Ast.s = Ast.Throw e; spos = ps }
   | Token.KW_RETURN ->
       advance p;
-      if peek p = Token.SEMI then begin
+      if at p Token.SEMI then begin
         advance p;
         { Ast.s = Ast.Return None; spos = ps }
       end
@@ -448,8 +502,8 @@ and parse_stmt p : Ast.stmt =
       (* 'C x ...' is a declaration with a class type *)
       parse_decl p ps
   | Token.IDENT _
-    when peek2 p = Token.LBRACKET
-         && peekn p 2 = Token.RBRACKET ->
+    when Token.equal (peek2 p) Token.LBRACKET
+         && Token.equal (peekn p 2) Token.RBRACKET ->
       (* 'C[] x ...' or 'C[][] x ...' is a declaration with an array type *)
       parse_decl p ps
   | _ -> (
@@ -480,7 +534,7 @@ and parse_decl p ps =
   let ty = parse_ty p in
   let name = ident p in
   let init =
-    if peek p = Token.ASSIGN then begin
+    if at p Token.ASSIGN then begin
       advance p;
       Some (parse_expr p)
     end
@@ -493,14 +547,14 @@ and parse_decl p ps =
 
 let parse_member p : [ `Field of Ast.field_decl | `Meth of Ast.meth_decl ] =
   let ps = pos p in
-  if peek p = Token.KW_VAR then begin
+  if at p Token.KW_VAR then begin
     advance p;
     let ty = parse_ty p in
     let name = ident p in
     eat p Token.SEMI;
     `Field { Ast.fd_ty = ty; fd_name = name; fd_static = false; fd_pos = ps }
   end
-  else if peek p = Token.KW_STATIC && peek2 p = Token.KW_VAR then begin
+  else if at p Token.KW_STATIC && Token.equal (peek2 p) Token.KW_VAR then begin
     advance p;
     advance p;
     let ty = parse_ty p in
@@ -509,14 +563,14 @@ let parse_member p : [ `Field of Ast.field_decl | `Meth of Ast.meth_decl ] =
     `Field { Ast.fd_ty = ty; fd_name = name; fd_static = true; fd_pos = ps }
   end
   else begin
-    let static = peek p = Token.KW_STATIC in
+    let static = at p Token.KW_STATIC in
     if static then advance p;
     let ty = parse_ty p in
     let name = ident p in
-    if peek p = Token.LPAREN then begin
+    if at p Token.LPAREN then begin
       eat p Token.LPAREN;
       let params =
-        if peek p = Token.RPAREN then begin
+        if at p Token.RPAREN then begin
           advance p;
           []
         end
@@ -524,7 +578,7 @@ let parse_member p : [ `Field of Ast.field_decl | `Meth of Ast.meth_decl ] =
           let rec go acc =
             let pty = parse_ty p in
             let pname = ident p in
-            if peek p = Token.COMMA then begin
+            if at p Token.COMMA then begin
               advance p;
               go ((pty, pname) :: acc)
             end
@@ -557,12 +611,12 @@ let parse_member p : [ `Field of Ast.field_decl | `Meth of Ast.meth_decl ] =
 
 let parse_class p : Ast.class_decl =
   let ps = pos p in
-  let abstract = peek p = Token.KW_ABSTRACT in
+  let abstract = at p Token.KW_ABSTRACT in
   if abstract then advance p;
   eat p Token.KW_CLASS;
   let name = ident p in
   let super =
-    if peek p = Token.KW_EXTENDS then begin
+    if at p Token.KW_EXTENDS then begin
       advance p;
       Some (ident p)
     end
@@ -571,7 +625,7 @@ let parse_class p : Ast.class_decl =
   eat p Token.LBRACE;
   let fields = ref [] and meths = ref [] in
   let rec go () =
-    if peek p = Token.RBRACE then advance p
+    if at p Token.RBRACE then advance p
     else if
       p.recovering
       && match peek p with
@@ -607,7 +661,10 @@ let parse_class p : Ast.class_decl =
     cd_pos = ps;
   }
 
-(** Parse a whole program from source text, stopping at the first error. *)
+(** Parse a whole program from source text, stopping at the first error.
+    A lexical error anywhere in the file takes precedence over a syntax
+    error before it, so the rest of the input is lexed before a
+    {!Error} is re-raised. *)
 let parse_program src : Ast.program =
   let p = of_string src in
   let rec go acc =
@@ -616,41 +673,46 @@ let parse_program src : Ast.program =
     | Token.KW_CLASS | Token.KW_ABSTRACT -> go (parse_class p :: acc)
     | t -> errorf p "expected a class declaration but found '%s'" (Token.to_string t)
   in
-  go []
+  match go [] with
+  | prog -> prog
+  | exception (Error _ as e) ->
+      while not (Token.equal (Lexer.token p.lx) Token.EOF) do
+        ()
+      done;
+      raise e
 
 (** Parse with error recovery: malformed statements resynchronize at the
     next [;] / [}], malformed members at the next member boundary, and
     malformed classes at the next [class] keyword, so a single run reports
     every independent syntax error.  Returns the classes that did parse
-    together with the accumulated diagnostics (empty = clean parse; a
-    lexical error fails fast with a single diagnostic because the token
-    stream ends there). *)
+    together with the accumulated diagnostics (empty = clean parse).  A
+    lexical error anywhere in the file is the single diagnostic: recovery
+    consumes every token up to [EOF], so the lexer always reaches it. *)
 let parse_program_diags src : Ast.program * Diag.t list =
-  match of_string src with
-  | exception Lexer.Error (msg, epos) ->
-      ([], [ Diag.error ~stage:Diag.Lexical epos "%s" msg ])
-  | p ->
-      p.recovering <- true;
-      let rec go acc =
-        match peek p with
-        | Token.EOF -> List.rev acc
-        | Token.KW_CLASS | Token.KW_ABSTRACT -> (
-            match parse_class p with
-            | c -> go (c :: acc)
-            | exception Error (msg, epos) ->
-                record p msg epos;
-                sync_class p;
-                go acc)
-        | t ->
-            record p
-              (Format.asprintf "expected a class declaration but found '%s'"
-                 (Token.to_string t))
-              (pos p);
-            advance p;
-            sync_class p;
-            go acc
-      in
-      let classes = go [] in
-      (classes, List.rev p.diags)
-
-let _ = is_ty_start (* exported for tests *)
+  let parse () =
+    let p = of_string src in
+    p.recovering <- true;
+    let rec go acc =
+      match peek p with
+      | Token.EOF -> List.rev acc
+      | Token.KW_CLASS | Token.KW_ABSTRACT -> (
+          match parse_class p with
+          | c -> go (c :: acc)
+          | exception Error (msg, epos) ->
+              record p msg epos;
+              sync_class p;
+              go acc)
+      | t ->
+          record p
+            (Format.asprintf "expected a class declaration but found '%s'"
+               (Token.to_string t))
+            (pos p);
+          advance p;
+          sync_class p;
+          go acc
+    in
+    let classes = go [] in
+    (classes, List.rev p.diags)
+  in
+  try parse ()
+  with Lexer.Error (msg, epos) -> ([], [ Diag.error ~stage:Diag.Lexical epos "%s" msg ])

@@ -48,28 +48,14 @@ type t =
   | OROR
   | EOF
 
-let keyword_table =
-  [
-    ("class", KW_CLASS);
-    ("extends", KW_EXTENDS);
-    ("abstract", KW_ABSTRACT);
-    ("static", KW_STATIC);
-    ("var", KW_VAR);
-    ("if", KW_IF);
-    ("else", KW_ELSE);
-    ("while", KW_WHILE);
-    ("return", KW_RETURN);
-    ("new", KW_NEW);
-    ("null", KW_NULL);
-    ("this", KW_THIS);
-    ("true", KW_TRUE);
-    ("false", KW_FALSE);
-    ("instanceof", KW_INSTANCEOF);
-    ("int", KW_INT);
-    ("boolean", KW_BOOLEAN);
-    ("void", KW_VOID);
-    ("throw", KW_THROW);
-  ]
+(** Token equality without the polymorphic [compare]: payloads compare
+    by value, and every other constructor is an immediate. *)
+let equal a b =
+  match (a, b) with
+  | INT x, INT y -> Int.equal x y
+  | IDENT x, IDENT y -> String.equal x y
+  | (INT _ | IDENT _), _ | _, (INT _ | IDENT _) -> false
+  | _ -> a == b
 
 let to_string = function
   | INT n -> string_of_int n

@@ -94,19 +94,24 @@ let run (body : Bl.body) =
             phi.phi_args)
         blk.Bl.b_phis)
     body.blocks;
-  (* single static assignment *)
+  (* single static assignment; [def_index] is the defining instruction's
+     index in its block, -1 for params and phis *)
   let def_block = Array.make body.var_count (-1) in
-  let define v (blk : Bl.block) =
+  let def_index = Array.make body.var_count (-1) in
+  let define ?(index = -1) v (blk : Bl.block) =
     let vi = Var.to_int v in
     if vi < 0 || vi >= body.var_count then failf "variable %a out of range" Var.pp v;
     if def_block.(vi) >= 0 then failf "variable %a defined twice" Var.pp v;
-    def_block.(vi) <- Block.to_int blk.b_id
+    def_block.(vi) <- Block.to_int blk.b_id;
+    def_index.(vi) <- index
   in
   List.iter (fun p -> define p (Bl.block body body.entry)) body.params;
   Array.iter
     (fun blk ->
       List.iter (fun (phi : Bl.phi) -> define phi.phi_var blk) blk.Bl.b_phis;
-      List.iter (fun i -> List.iter (fun v -> define v blk) (Bl.insn_defs i)) blk.Bl.b_insns)
+      List.iteri
+        (fun index i -> List.iter (fun v -> define ~index v blk) (Bl.insn_defs i))
+        blk.Bl.b_insns)
     body.blocks;
   (* defs dominate uses (reachable blocks only) *)
   let dom = Dominance.compute body in
@@ -121,17 +126,10 @@ let run (body : Bl.body) =
       if Block.equal db at.Bl.b_id then begin
         (* same-block use: definition must appear before [before] *)
         match before with
-        | None -> ()
-        | Some idx ->
-            let pos = ref (-1) in
-            List.iteri
-              (fun i ins -> if List.exists (Var.equal v) (Bl.insn_defs ins) then pos := i)
-              at.Bl.b_insns;
-            let is_phi = List.exists (fun (p : Bl.phi) -> Var.equal p.phi_var v) at.Bl.b_phis in
-            let is_param = List.exists (Var.equal v) body.params in
-            if (not is_phi) && (not is_param) && !pos >= idx then
-              failf "use of %a before its definition in b%d" Var.pp v
-                (Block.to_int at.Bl.b_id)
+        | Some idx when def_index.(vi) >= idx ->
+            failf "use of %a before its definition in b%d" Var.pp v
+              (Block.to_int at.Bl.b_id)
+        | _ -> ()
       end
       else if not (Dominance.dominates dom ~dom:db ~sub:at.Bl.b_id) then
         failf "use of %a in b%d not dominated by its definition in b%d" Var.pp v

@@ -222,12 +222,19 @@ let with_deadline config = function
 
 let certify engine = C.Verify.run engine = []
 
-let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
-    ~source ~roots () =
+(* The post-compile half of a full solve: [prog] was compiled from
+   [source] under [trace], which the solve's phases then join.  A caller
+   that has fingerprinted [prog] already passes [meth_hashes]. *)
+let solve_program ?meth_hashes ~reason ~config ~mode ~deadline_ms ~generation
+    ~trace ~source ~roots prog =
   let config', on_budget = with_deadline config deadline_ms in
   match
-    Api.analyze ~config:config' ~mode ~on_budget ~source:(`Text source) ~roots
-      ()
+    Api.protect (fun () ->
+        match Api.resolve_roots prog roots with
+        | Error e -> Error e
+        | Ok root_meths ->
+            Api.analyze_program ~config:config' ~mode ~on_budget ~trace prog
+              ~roots:root_meths)
   with
   | Error e -> Error (Protocol.Api_error e)
   | Ok s -> (
@@ -238,7 +245,6 @@ let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
           (* unreachable: without a deadline the engine degrades *)
           Error (Protocol.Api_error (Api.Internal_error "paused without deadline"))
       | C.Engine.Completed, _ ->
-          let prog = C.Engine.prog_of s.Api.engine in
           let st =
             {
               source;
@@ -247,7 +253,10 @@ let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
               snapshot = C.Engine.snapshot_bytes s.Api.engine;
               metrics = s.Api.metrics;
               reachable = s.Api.reachable;
-              meth_hashes = meth_fingerprints prog;
+              meth_hashes =
+                (match meth_hashes with
+                | Some h -> h
+                | None -> meth_fingerprints prog);
               hier_hash = hierarchy_fingerprint prog;
               generation = generation + 1;
             }
@@ -256,6 +265,15 @@ let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
             (candidate ~strategy:(Full reason) ~verified:false
                ~key:(memo_key ~config ~mode ~roots ~source)
                st (freeze st)))
+
+let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
+    ~source ~roots () =
+  let trace = C.Trace.create () in
+  match Api.compile ~trace (`Text source) with
+  | Error e -> Error (Protocol.Api_error e)
+  | Ok (prog, _) ->
+      solve_program ~reason ~config ~mode ~deadline_ms ~generation ~trace
+        ~source ~roots prog
 
 let edit ~config ~mode ~deadline_ms ~memo st ~source =
   if String.equal source st.source then Ok (unchanged st)
@@ -268,13 +286,14 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
       let k = memo_key ~config ~mode ~roots:st.roots ~source:st.source in
       (k, match Memo.peek memo k with Some b -> b | None -> freeze st)
     in
-    let full reason =
-      match
-        solve_full ~reason ~config ~mode ~deadline_ms
-          ~generation:st.generation ~source ~roots:st.roots ()
-      with
+    let with_pre_add = function
       | Error _ as e -> e
       | Ok o -> Ok { o with o_memo_adds = pre_add :: o.o_memo_adds }
+    in
+    let full reason =
+      with_pre_add
+        (solve_full ~reason ~config ~mode ~deadline_ms
+           ~generation:st.generation ~source ~roots:st.roots ())
     in
     match Memo.peek memo key with
     | Some bytes -> (
@@ -289,11 +308,20 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
             (* suspect memo entry: drop to a full solve *)
             full "memo entry failed restoration or verification")
     | None -> (
-        match Api.compile (`Text source) with
+        let trace = C.Trace.create () in
+        match Api.compile ~trace (`Text source) with
         | Error e -> Error (Protocol.Api_error e)
         | Ok (prog, _) ->
             let hier = hierarchy_fingerprint prog in
             let hashes = meth_fingerprints prog in
+            (* the source is compiled and fingerprinted already: a
+               fallback solves [prog] *)
+            let full reason =
+              with_pre_add
+                (solve_program ~meth_hashes:hashes ~reason ~config ~mode
+                   ~deadline_ms ~generation:st.generation ~trace ~source
+                   ~roots:st.roots prog)
+            in
             if not (String.equal hier st.hier_hash) then
               full "class hierarchy changed"
             else begin

@@ -22,26 +22,32 @@ let read_file path =
 let example name = "../examples/" ^ name
 let golden name = "golden/" ^ name
 
-let lint_file path =
-  let src = read_file path in
+let lint_src src =
   let prog = F.Frontend.compile src in
   let main = Option.get (F.Frontend.main_of prog) in
   let r = C.Analysis.run ~config:C.Config.skipflow prog ~roots:[ main ] in
   let ctx = K.Checks.make_ctx ~engine:r.C.Analysis.engine ~roots:[ main ] in
   K.Checks.run ctx
 
+let lint_file path = lint_src (read_file path)
+
 (* ----- golden files: same JSON the CLI prints ----- *)
 
+(* each example also with CRLF line ends, against the same golden *)
 let check_golden ~example_file ~golden_file () =
-  let findings = lint_file (example example_file) in
-  let json =
-    K.Finding.document_to_json ~file:example_file
-      ~analysis:(C.Config.name C.Config.skipflow) findings
-  in
-  Alcotest.(check string)
-    (example_file ^ " lint output matches golden")
-    (read_file (golden golden_file))
-    (K.Json.to_string json)
+  let src = read_file (example example_file) in
+  let crlf = String.concat "\r\n" (String.split_on_char '\n' src) in
+  List.iter
+    (fun (eol, src) ->
+      let json =
+        K.Finding.document_to_json ~file:example_file
+          ~analysis:(C.Config.name C.Config.skipflow) (lint_src src)
+      in
+      Alcotest.(check string)
+        (Printf.sprintf "%s (%s) lint output matches golden" example_file eol)
+        (read_file (golden golden_file))
+        (K.Json.to_string json))
+    [ ("LF", src); ("CRLF", crlf) ]
 
 let test_demo_covers_all_checks () =
   let findings = lint_file (example "lint_demo.mj") in

@@ -215,6 +215,26 @@ let test_recovery_member_and_class () =
   let a = List.find (fun (c : A.class_decl) -> c.A.cd_name = "A") classes in
   Alcotest.(check int) "A.ok recovered" 1 (List.length a.A.cd_meths)
 
+let test_lexical_error_wins () =
+  (* a syntax error on line 2 comes first, but the lexical error on line 3
+     is the single diagnostic, whether parsing recovers or fails fast *)
+  let src =
+    "class Main {\n  static void main() { int x = 1 }\n  static void g() { int y = 2; # }\n}\n"
+  in
+  let classes, ds = P.parse_program_diags src in
+  Alcotest.(check int) "no classes" 0 (List.length classes);
+  (match ds with
+  | [ d ] ->
+      Alcotest.(check bool) "lexical stage" true (d.D.stage = D.Lexical);
+      Alcotest.(check (pair int int)) "at the '#'" (3, 32)
+        (d.D.pos.Skipflow_frontend.Lexer.line, d.D.pos.Skipflow_frontend.Lexer.col)
+  | _ -> Alcotest.failf "expected one diagnostic, got %d" (List.length ds));
+  match Skipflow_frontend.Frontend.compile src with
+  | _ -> Alcotest.fail "compile accepted a lexically broken program"
+  | exception Skipflow_frontend.Frontend.Error msg ->
+      Alcotest.(check string) "fail-fast compile reports the lexical error"
+        "3:32: lexical error: unexpected character '#'" msg
+
 let test_clean_parse_no_diags () =
   let src = "class A { int f() { return 1; } }" in
   let classes, ds = P.parse_program_diags src in
@@ -248,6 +268,8 @@ let suite =
         test_recovery_accumulates;
       Alcotest.test_case "recovery at member and class boundaries" `Quick
         test_recovery_member_and_class;
+      Alcotest.test_case "lexical error after a syntax error wins" `Quick
+        test_lexical_error_wins;
       Alcotest.test_case "clean parse has no diagnostics" `Quick test_clean_parse_no_diags;
       Alcotest.test_case "caret rendering" `Quick test_render_caret;
     ] )

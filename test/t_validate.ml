@@ -78,6 +78,15 @@ let test_use_before_def_in_block () =
     e.Bl.b_insns @ [ Bl.Store { recv = defined_in_l1; field = Ids.Field.of_int 0; src = defined_in_l1 } ];
   rejects "dominated" body
 
+let test_use_before_def_same_block () =
+  (* an instruction of l1 uses the variable a later instruction of l1
+     defines *)
+  let body = mk_body () in
+  let l1 = body.Bl.blocks.(1) in
+  let v = List.concat_map Bl.insn_defs l1.Bl.b_insns |> List.hd in
+  l1.Bl.b_insns <- Bl.Store { recv = v; field = Ids.Field.of_int 0; src = v } :: l1.Bl.b_insns;
+  rejects "before its definition" body
+
 let test_jump_to_label_rejected () =
   let body = mk_body () in
   (* retarget the merge's predecessors: make l2 jump to l1 (a label) *)
@@ -120,6 +129,8 @@ let suite =
       Alcotest.test_case "phi arity mismatch rejected" `Quick test_phi_arity;
       Alcotest.test_case "phi on label block rejected" `Quick test_phi_on_label_block;
       Alcotest.test_case "undominated use rejected" `Quick test_use_before_def_in_block;
+      Alcotest.test_case "same-block use before definition rejected" `Quick
+        test_use_before_def_same_block;
       Alcotest.test_case "jump to label rejected" `Quick test_jump_to_label_rejected;
       Alcotest.test_case "pred list consistency" `Quick test_pred_list_consistency;
       Alcotest.test_case "dominance on diamond" `Quick test_dominance_diamond;
