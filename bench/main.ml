@@ -23,7 +23,6 @@
    ~50% outlier, counters track reachable methods, and analysis time does
    not systematically increase. *)
 
-module Api = Skipflow_api
 module C = Skipflow_core
 module W = Skipflow_workloads
 module K = Skipflow_checks
@@ -53,12 +52,9 @@ let median l =
   let a = List.sort compare l in
   List.nth a (List.length a / 2)
 
+(* [mode] reaches the reference drain, the baseline of the json rows *)
 let analyze ?mode ?trace config prog main =
-  match Api.analyze_program ~config ?mode ?trace prog ~roots:[ main ] with
-  | Ok s -> s
-  | Error e ->
-      prerr_endline ("bench: " ^ Api.error_message e);
-      exit 1
+  C.Analysis.run ~config ?mode ?trace prog ~roots:[ main ]
 
 (* per-phase wall milliseconds out of a run's trace *)
 let phase_ms trace name =
@@ -116,7 +112,7 @@ let run_bench (b : W.Suites.bench) : row * row =
   let mk config name =
     let s, tm = measure ~reps config prog main in
     let t = tm.t_time_ms /. 1000. in
-    let m = s.Api.metrics in
+    let m = s.C.Analysis.metrics in
     {
       r_bench = b;
       r_config = name;
@@ -245,7 +241,7 @@ let print_ablation () =
       List.iter
         (fun (cname, config) ->
           let s = analyze config prog main in
-          let m = s.Api.metrics in
+          let m = s.C.Analysis.metrics in
           Printf.printf "%-22s %-22s %9d %8d %8d %8d %8d\n" name cname
             m.C.Metrics.reachable_methods m.C.Metrics.type_checks
             m.C.Metrics.null_checks m.C.Metrics.prim_checks m.C.Metrics.poly_calls)
@@ -278,15 +274,15 @@ let print_product () =
       let prog, main = W.Gen.compile params in
       let line (pname, config) =
         let s, t = measure ~reps:3 config prog main in
-        let st = C.Engine.stats s.Api.engine in
-        let ctx = K.Checks.make_ctx ~engine:s.Api.engine ~roots:[ main ] in
+        let st = C.Engine.stats s.C.Analysis.engine in
+        let ctx = K.Checks.make_ctx ~engine:s.C.Analysis.engine ~roots:[ main ] in
         let dead_blocks = List.length (K.Checks.dead_blocks ctx) in
         Printf.printf "%-12s %-22s %-8s %7d %11d %10d %10.1f\n" b.W.Suites.suite
           (if pname = "flat" then b.W.Suites.name else "")
           pname
-          (C.Engine.reachable_count s.Api.engine)
+          (C.Engine.reachable_count s.C.Analysis.engine)
           st.C.Engine.live_flows dead_blocks t.t_time_ms;
-        (C.Engine.reachable_count s.Api.engine, st.C.Engine.live_flows)
+        (C.Engine.reachable_count s.C.Analysis.engine, st.C.Engine.live_flows)
       in
       let fr, ff = line ("flat", C.Config.skipflow) in
       let pr, pf = line ("product", product_config) in
@@ -383,7 +379,7 @@ let json_bench (b : W.Suites.bench) : jrow list =
   List.map
     (fun (cname, config, mode) ->
       let sum, t = measure ~mode ~reps config prog main in
-      let s = C.Engine.stats sum.Api.engine in
+      let s = C.Engine.stats sum.C.Analysis.engine in
       {
         j_suite = b.W.Suites.suite;
         j_bench = b.W.Suites.name;
@@ -392,7 +388,7 @@ let json_bench (b : W.Suites.bench) : jrow list =
         j_timing = t;
         j_tasks = s.C.Engine.tasks_processed;
         j_dedup_hits = C.Engine.dedup_hits s;
-        j_reachable = C.Engine.reachable_count sum.Api.engine;
+        j_reachable = C.Engine.reachable_count sum.C.Analysis.engine;
         j_live_flows = s.C.Engine.live_flows;
       })
     json_configs

@@ -31,37 +31,29 @@ let exit_analysis_error = 1
 let exit_input_error = 2
 let exit_degraded = 3
 
-(** Render a facade error and exit with its documented code (the facade
-    owns the error-to-exit-code contract). *)
-let fail_api_error (e : Api.error) : 'a =
-  Api.render_error Format.err_formatter e;
-  exit (Api.exit_code_of_error e)
-
-(** The machine-readable failure object: every {!Api.error} variant maps
-    to a stable [kind] (see {!Api.error_kind}) plus its documented exit
-    code; compile errors carry their positioned diagnostics.  The shape
-    is owned by the serve protocol so the one-shot CLI and the daemon
-    can never drift apart. *)
-let error_json (e : Api.error) = S.Protocol.api_error_json e
-
-(** Format-aware failure: under [--format json] the error object goes to
-    stdout (machine-consumable, stderr left clean); under text, carets go
-    to stderr as always.  Either way the exit code is the facade's. *)
-let fail_error ~format (e : Api.error) : 'a =
-  match format with
-  | `Text -> fail_api_error e
-  | `Json ->
-      print_string (K.Json.to_string (error_json e));
+(** Unwrap a facade result, or report the error and exit with its
+    documented code (the facade owns the error-to-exit-code contract).
+    Under [--format json] the error object goes to stdout and stderr
+    stays clean: every {!Api.error} variant maps to a stable [kind] plus
+    its exit code, and compile errors carry their positioned
+    diagnostics.  The serve protocol owns that shape
+    ({!S.Protocol.api_error_json}), so the one-shot CLI and the daemon
+    cannot drift apart.  Under text, carets go to stderr. *)
+let ok_or_fail ~format = function
+  | Ok v -> v
+  | Error e ->
+      (match format with
+      | `Text -> Api.render_error Format.err_formatter e
+      | `Json -> print_string (K.Json.to_string (S.Protocol.api_error_json e)));
       exit (Api.exit_code_of_error e)
-
-let ok_or_fail = function Ok v -> v | Error e -> fail_api_error e
 
 (** Compile [file] through the facade, rendering caret diagnostics on
     stderr and exiting with the input-error code on failure. *)
 let load_program ?trace file =
-  fst (ok_or_fail (Api.compile ?trace (`File file)))
+  fst (ok_or_fail ~format:`Text (Api.compile ?trace (`File file)))
 
-let roots_of prog names = ok_or_fail (Api.resolve_roots prog names)
+let roots_of ~format prog names =
+  ok_or_fail ~format (Api.resolve_roots prog names)
 
 (* ------------------------------- analyze ------------------------------ *)
 
@@ -128,25 +120,26 @@ let dot_arg = Arg.(value & opt (some string) None & info [ "dot" ] ~docv:"OUT.do
 let ir_arg = Arg.(value & flag & info [ "dump-ir" ] ~doc:"Print the lowered SSA base-language IR")
 let sat_arg = Arg.(value & opt (some int) None & info [ "saturation" ] ~docv:"K" ~doc:"Enable type-set saturation with cutoff K")
 
-let max_tasks_arg =
-  Arg.(value & opt (some int) None & info [ "max-tasks" ] ~docv:"N" ~doc:"Budget: cap on worklist tasks; on trip the engine degrades to a sound, coarser fixed point")
-
-let timeout_arg =
-  Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Budget: wall-clock cap on the fixed-point solve")
-
-let max_flows_arg =
-  Arg.(value & opt (some int) None & info [ "max-flows" ] ~docv:"N" ~doc:"Budget: cap on live flows across all reachable methods")
+(* --analysis with the budget flags folded into its configuration, for
+   every subcommand that solves under a budget *)
+let budgeted_analysis_arg =
+  let max_tasks =
+    Arg.(value & opt (some int) None & info [ "max-tasks" ] ~docv:"N" ~doc:"Budget: cap on worklist tasks; on trip the engine degrades to a sound, coarser fixed point")
+  in
+  let timeout =
+    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Budget: wall-clock cap on the fixed-point solve")
+  in
+  let max_flows =
+    Arg.(value & opt (some int) None & info [ "max-flows" ] ~docv:"N" ~doc:"Budget: cap on live flows across all reachable methods")
+  in
+  Term.(
+    const (fun config max_tasks max_seconds max_flows ->
+        { config with
+          C.Config.budget = { C.Budget.max_tasks; max_seconds; max_flows } })
+    $ analysis_arg $ max_tasks $ timeout $ max_flows)
 
 let allow_degraded_arg =
   Arg.(value & flag & info [ "allow-degraded" ] ~doc:"Exit 0 instead of 3 when a budget trips and the result is degraded")
-
-let engine_arg =
-  Arg.(
-    value
-    & opt (enum [ ("dedup", C.Engine.Dedup); ("ref", C.Engine.Reference) ])
-        C.Engine.Dedup
-    & info [ "engine" ] ~docv:"ENGINE"
-        ~doc:"Worklist engine: dedup (deduplicated dirty-flow worklist, the default) or ref (the boxed-FIFO reference drain; same fixed point, more tasks)")
 
 (** Per-task-kind and dedup breakdown of the solver work, printed after
     the Table 1 metrics. *)
@@ -158,9 +151,6 @@ let pp_engine_stats ppf (s : C.Engine.stats) =
     s.C.Engine.tasks_processed s.C.Engine.input_tasks s.C.Engine.enable_tasks
     s.C.Engine.notify_tasks (C.Engine.dedup_hits s) s.C.Engine.dedup_input
     s.C.Engine.dedup_enable s.C.Engine.dedup_notify s.C.Engine.max_queue
-
-let budget_of ~max_tasks ~timeout ~max_flows =
-  C.Budget.{ max_tasks; max_seconds = timeout; max_flows }
 
 (** Shared tail: report degradation and exit 3 unless it was opted into. *)
 let finish_degradation_metrics (m : C.Metrics.t) ~allow_degraded =
@@ -191,33 +181,22 @@ let phases_json trace =
 let counters_json trace =
   K.Json.Obj (List.map (fun (name, v) -> (name, K.Json.Int v)) (C.Trace.counters trace))
 
-let analyze_summary_json ~file ~config ~mode ~timings (s : Api.summary) =
+let analyze_summary_json ~file ~config ~timings (s : Api.summary) =
   let m = s.Api.metrics in
   K.Json.Obj
     ([
       ("schema_version", K.Json.Int K.Json.current_schema_version);
       ("file", K.Json.Str (Filename.basename file));
       ("analysis", K.Json.Str (C.Config.name config));
-      ( "engine",
-        K.Json.Str (match mode with C.Engine.Dedup -> "dedup" | C.Engine.Reference -> "ref") );
+      (* schema-1 field; the CLI always solves with the dedup engine *)
+      ("engine", K.Json.Str "dedup");
       ("degraded", K.Json.Bool m.C.Metrics.degraded);
       ( "outcome",
         K.Json.Str
           (match s.Api.outcome with
           | C.Engine.Completed -> "completed"
           | C.Engine.Paused _ -> "paused") );
-      ( "metrics",
-        K.Json.Obj
-          [ ("reachable_methods", K.Json.Int m.C.Metrics.reachable_methods);
-            ("type_checks", K.Json.Int m.C.Metrics.type_checks);
-            ("null_checks", K.Json.Int m.C.Metrics.null_checks);
-            ("prim_checks", K.Json.Int m.C.Metrics.prim_checks);
-            ("poly_calls", K.Json.Int m.C.Metrics.poly_calls);
-            ("mono_calls", K.Json.Int m.C.Metrics.mono_calls);
-            ("binary_size", K.Json.Int m.C.Metrics.binary_size);
-            ("flows", K.Json.Int m.C.Metrics.flows);
-            ("instantiated_types", K.Json.Int m.C.Metrics.instantiated_types);
-          ] );
+      ("metrics", S.Protocol.metrics_json m);
     ]
     @
     (* timings, phases and counters are run-dependent; dropping them
@@ -236,7 +215,10 @@ let format_arg =
     value
     & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
     & info [ "format" ] ~docv:"FMT"
-        ~doc:"Output format: text (human-readable) or json (schema-versioned summary)")
+        ~doc:
+          "Output format: text (human-readable; caret diagnostics for \
+           lint) or json (a schema-versioned document on stdout, failures \
+           included)")
 
 let trace_arg =
   Arg.(
@@ -255,14 +237,16 @@ let trace_jsonl_arg =
 let timings_arg =
   Arg.(value & flag & info [ "timings" ] ~doc:"Print the per-phase wall/CPU breakdown and the counter registry")
 
-let analyze_no_timings_arg =
+let no_timings_arg =
   Arg.(
     value
     & flag
     & info [ "no-timings" ]
         ~doc:
-          "Omit wall/CPU times, phases, and counters from the output, \
-           making summaries byte-comparable across runs")
+          "Make output byte-comparable across runs: analyze omits \
+           wall/CPU times, phases and counters; batch zeroes every \
+           wall_us field; serve zeroes wall_us and drops wall-clock \
+           counters from its responses")
 
 let snapshot_arg =
   Arg.(
@@ -287,21 +271,16 @@ let resume_from_arg =
            solve with a warning")
 
 let analyze_cmd =
-  let run file config roots list_reachable dot dump_ir saturation max_tasks timeout
-      max_flows allow_degraded mode format trace_out trace_jsonl timings
-      no_timings snapshot resume_from =
+  let run file config roots list_reachable dot dump_ir saturation
+      allow_degraded format trace_out trace_jsonl timings no_timings snapshot
+      resume_from =
     let want_trace = trace_out <> None || trace_jsonl <> None in
     let trace =
       C.Trace.create
         ~timers:(timings || want_trace || format = `Json)
         ~events:want_trace ()
     in
-    let fail e = fail_error ~format e in
-    let config =
-      { config with
-        C.Config.saturation;
-        budget = budget_of ~max_tasks ~timeout ~max_flows }
-    in
+    let config = { config with C.Config.saturation } in
     let on_budget = if snapshot <> None then `Pause else `Degrade in
     let resumed =
       match resume_from with
@@ -330,21 +309,10 @@ let analyze_cmd =
       match resumed with
       | Some s -> s
       | None ->
-          let prog =
-            match Api.compile ~trace (`File file) with
-            | Ok (p, _) -> p
-            | Error e -> fail e
-          in
-          let roots =
-            match Api.resolve_roots prog roots with
-            | Ok r -> r
-            | Error e -> fail e
-          in
-          (match
-             Api.analyze_program ~config ~mode ~on_budget ~trace prog ~roots
-           with
-          | Ok s -> s
-          | Error e -> fail e)
+          let prog, _ = ok_or_fail ~format (Api.compile ~trace (`File file)) in
+          let roots = roots_of ~format prog roots in
+          ok_or_fail ~format
+            (Api.analyze_program ~config ~on_budget ~trace prog ~roots)
     in
     let prog = C.Engine.prog_of s.Api.engine in
     if dump_ir then Format.printf "%a@." Ir_pp.pp_program prog;
@@ -365,8 +333,7 @@ let analyze_cmd =
     | `Json ->
         print_string
           (K.Json.to_string
-             (analyze_summary_json ~file ~config ~mode ~timings:(not no_timings)
-                s))
+             (analyze_summary_json ~file ~config ~timings:(not no_timings) s))
     | `Text ->
         Format.printf "analysis: %s@." (C.Config.name config);
         Format.printf "%a@." C.Metrics.pp s.Api.metrics;
@@ -403,17 +370,17 @@ let analyze_cmd =
   Cmd.v
     (Cmd.info "analyze" ~doc:"Analyze a MiniJava program")
     Term.(
-      const run $ file_arg $ analysis_arg $ roots_arg $ list_arg $ dot_arg $ ir_arg
-      $ sat_arg $ max_tasks_arg $ timeout_arg $ max_flows_arg $ allow_degraded_arg
-      $ engine_arg $ format_arg $ trace_arg $ trace_jsonl_arg $ timings_arg
-      $ analyze_no_timings_arg $ snapshot_arg $ resume_from_arg)
+      const run $ file_arg $ budgeted_analysis_arg $ roots_arg $ list_arg
+      $ dot_arg $ ir_arg $ sat_arg $ allow_degraded_arg $ format_arg $ trace_arg
+      $ trace_jsonl_arg $ timings_arg $ no_timings_arg $ snapshot_arg
+      $ resume_from_arg)
 
 (* ------------------------------- compare ------------------------------ *)
 
 let compare_cmd =
   let run file roots =
     let prog = load_program file in
-    let roots = roots_of prog roots in
+    let roots = roots_of ~format:`Text prog roots in
     let time f =
       let t0 = Unix.gettimeofday () in
       let r = f () in
@@ -421,11 +388,13 @@ let compare_cmd =
     in
     let pta, t_pta =
       time (fun () ->
-          ok_or_fail (Api.analyze_program ~config:C.Config.pta prog ~roots))
+          ok_or_fail ~format:`Text
+            (Api.analyze_program ~config:C.Config.pta prog ~roots))
     in
     let sf, t_sf =
       time (fun () ->
-          ok_or_fail (Api.analyze_program ~config:C.Config.skipflow prog ~roots))
+          ok_or_fail ~format:`Text
+            (Api.analyze_program ~config:C.Config.skipflow prog ~roots))
     in
     let rta, t_rta = time (fun () -> Skipflow_baselines.Rta.run prog ~roots) in
     let cha, t_cha = time (fun () -> Skipflow_baselines.Cha.run prog ~roots) in
@@ -450,9 +419,12 @@ let compare_cmd =
 let deadcode_cmd =
   let run file roots verify =
     let prog = load_program file in
-    let roots = roots_of prog roots in
-    let pta = ok_or_fail (Api.analyze_program ~config:C.Config.pta prog ~roots) in
-    let sf = ok_or_fail (Api.analyze_program ~config:C.Config.skipflow prog ~roots) in
+    let roots = roots_of ~format:`Text prog roots in
+    let analyze config =
+      ok_or_fail ~format:`Text (Api.analyze_program ~config prog ~roots)
+    in
+    let pta = analyze C.Config.pta in
+    let sf = analyze C.Config.skipflow in
     let report =
       C.Report.compare_runs ~baseline:pta.Api.engine ~precise:sf.Api.engine
     in
@@ -478,9 +450,8 @@ let lint_cmd =
   let list_checks () =
     String.concat ", " (List.map (fun c -> c.K.Checks.id) K.Checks.all)
   in
-  let run file config roots checks format fail_on max_tasks timeout max_flows
-      allow_degraded =
-    let prog, src = ok_or_fail (Api.compile (`File file)) in
+  let run file config roots checks format fail_on allow_degraded =
+    let prog, src = ok_or_fail ~format (Api.compile (`File file)) in
     let only =
       match checks with
       | None -> None
@@ -498,12 +469,8 @@ let lint_cmd =
             ids;
           Some ids
     in
-    let config =
-      { config with
-        C.Config.budget = budget_of ~max_tasks ~timeout ~max_flows }
-    in
-    let roots = roots_of prog roots in
-    let s = ok_or_fail (Api.analyze_program ~config prog ~roots) in
+    let roots = roots_of ~format prog roots in
+    let s = ok_or_fail ~format (Api.analyze_program ~config prog ~roots) in
     let ctx = K.Checks.make_ctx ~engine:s.Api.engine ~roots in
     let findings = K.Checks.run ?only ctx in
     let count sev =
@@ -548,12 +515,6 @@ let lint_cmd =
             "Comma-separated checks to run (default: all): dead-method, \
              dead-branch, impossible-cast, null-deref, devirtualize")
   in
-  let format_arg =
-    Arg.(
-      value
-      & opt (enum [ ("text", `Text); ("json", `Json) ]) `Text
-      & info [ "format" ] ~docv:"FMT" ~doc:"Output format: text (caret diagnostics) or json")
-  in
   let fail_on_arg =
     Arg.(
       value
@@ -574,9 +535,8 @@ let lint_cmd =
           and branches, impossible casts, null dereferences, \
           devirtualizable calls)")
     Term.(
-      const run $ file_arg $ analysis_arg $ roots_arg $ checks_arg $ format_arg
-      $ fail_on_arg $ max_tasks_arg $ timeout_arg $ max_flows_arg
-      $ allow_degraded_arg)
+      const run $ file_arg $ budgeted_analysis_arg $ roots_arg $ checks_arg
+      $ format_arg $ fail_on_arg $ allow_degraded_arg)
 
 (* --------------------------------- run -------------------------------- *)
 
@@ -784,12 +744,12 @@ let read_journal path =
 (** One in-process job execution.  The facade's guard means every failure
     — unreadable file, compile error, bad root, internal exception —
     comes back as a typed error, never an escape. *)
-let execute_job ~config ~mode ~roots path =
+let execute_job ~config ~roots path =
   let t0 = Unix.gettimeofday () in
   let wall_us () =
     int_of_float (Float.max 0.0 (Unix.gettimeofday () -. t0) *. 1e6)
   in
-  match Api.analyze ~config ~mode ~source:(`File path) ~roots () with
+  match Api.analyze ~config ~source:(`File path) ~roots () with
   | Ok s ->
       let degraded = s.Api.metrics.C.Metrics.degraded in
       {
@@ -931,13 +891,9 @@ let load_manifest path =
            else l)
 
 let batch_cmd =
-  let run manifest config roots mode max_tasks timeout max_flows allow_degraded
-      timeout_per_job retries cache_dir journal resume quarantine no_isolate
-      no_timings out =
+  let run manifest config roots allow_degraded timeout_per_job retries
+      cache_dir journal resume quarantine no_isolate no_timings out =
     let timings = not no_timings in
-    let config =
-      { config with C.Config.budget = budget_of ~max_tasks ~timeout ~max_flows }
-    in
     if resume && journal = None then begin
       Format.eprintf "error: --resume needs --journal@.";
       exit exit_input_error
@@ -972,15 +928,12 @@ let batch_cmd =
     in
     let trace = C.Trace.create () in
     let cache = Option.map (fun d -> C.Cache.create ~trace d) cache_dir in
-    (* job results depend on the roots and engine mode, which Config.t
-       does not carry — fold them into the key so a cache dir reused
-       across batches with different --root / --engine never serves one
-       run's results to the other *)
-    let cache_scope =
-      Printf.sprintf "roots=%s;mode=%s"
-        (String.concat "," roots)
-        (match mode with C.Engine.Dedup -> "dedup" | C.Engine.Reference -> "ref")
-    in
+    (* job results depend on the roots, which Config.t does not carry —
+       fold them into the key so a cache dir reused across batches with
+       different --root never serves one run's results to the other.  The
+       literal [mode=dedup] keeps entries written by builds that could
+       select an engine reachable. *)
+    let cache_scope = "roots=" ^ String.concat "," roots ^ ";mode=dedup" in
     let cache_lookup path =
       match cache with
       | None -> (None, None)
@@ -1014,10 +967,10 @@ let batch_cmd =
           }
       | None ->
           let run_once () =
-            if no_isolate then execute_job ~config ~mode ~roots path
+            if no_isolate then execute_job ~config ~roots path
             else
               execute_isolated ~timeout_per_job (fun () ->
-                  execute_job ~config ~mode ~roots path)
+                  execute_job ~config ~roots path)
           in
           let rec attempt n =
             let res = run_once () in
@@ -1189,8 +1142,8 @@ let batch_cmd =
       & info [ "cache" ] ~docv:"DIR"
           ~doc:
             "Cache successful job results in $(docv), keyed by a content \
-             hash of source + configuration + roots + engine; corrupt \
-             entries are quarantined and recomputed")
+             hash of source + configuration + roots; corrupt entries are \
+             quarantined and recomputed")
   in
   let journal_arg =
     Arg.(
@@ -1228,15 +1181,6 @@ let batch_cmd =
             "Run jobs in-process instead of forked workers (faster; no \
              crash containment or per-job watchdog)")
   in
-  let no_timings_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "no-timings" ]
-          ~doc:
-            "Zero all wall_us fields, making summaries byte-comparable \
-             across runs")
-  in
   let out_arg =
     Arg.(
       value
@@ -1251,11 +1195,10 @@ let batch_cmd =
           isolation, watchdogs, retries, result caching, and a \
           resumable journal")
     Term.(
-      const run $ manifest_arg $ analysis_arg $ roots_arg $ engine_arg
-      $ max_tasks_arg $ timeout_arg $ max_flows_arg $ allow_degraded_arg
-      $ timeout_per_job_arg $ retries_arg $ cache_arg $ journal_arg
-      $ resume_arg $ quarantine_arg $ no_isolate_arg $ no_timings_arg
-      $ out_arg)
+      const run $ manifest_arg $ budgeted_analysis_arg $ roots_arg
+      $ allow_degraded_arg $ timeout_per_job_arg $ retries_arg $ cache_arg
+      $ journal_arg $ resume_arg $ quarantine_arg $ no_isolate_arg
+      $ no_timings_arg $ out_arg)
 
 (* -------------------------------- serve ------------------------------- *)
 
@@ -1411,23 +1354,16 @@ let supervise ~max_restarts ~log serve_child =
   loop ~restarts:0 ~used:0
 
 let serve_cmd =
-  let run file config roots mode max_tasks timeout max_flows state resume
-      socket deadline_ms max_queue retry_after_ms snapshot_every memo_entries
-      no_timings max_heap_mb supervise_flag max_restarts =
-    let config =
-      { config with C.Config.budget = budget_of ~max_tasks ~timeout ~max_flows }
-    in
+  let run file config roots state resume socket deadline_ms snapshot_every
+      memo_entries no_timings max_heap_mb supervise_flag max_restarts =
     let serve_once ~resume ~restarts =
       let cfg =
         {
           S.Server.sv_config = config;
-          sv_mode = mode;
           sv_roots = roots;
           sv_state_dir = state;
           sv_snapshot_every = snapshot_every;
           sv_deadline_ms = deadline_ms;
-          sv_max_queue = max_queue;
-          sv_retry_after_ms = retry_after_ms;
           sv_memo_entries = memo_entries;
           sv_timings = not no_timings;
           sv_max_heap_mb = max_heap_mb;
@@ -1510,22 +1446,6 @@ let serve_cmd =
              rolls back (requests can override with their own \
              $(i,deadline_ms) field)")
   in
-  let max_queue_arg =
-    Arg.(
-      value
-      & opt int S.Server.default_cfg.S.Server.sv_max_queue
-      & info [ "max-queue" ] ~docv:"N"
-          ~doc:
-            "Bounded request queue capacity; past it requests are shed \
-             with an overloaded error carrying a retry_after_ms hint")
-  in
-  let retry_after_arg =
-    Arg.(
-      value
-      & opt int S.Server.default_cfg.S.Server.sv_retry_after_ms
-      & info [ "retry-after-ms" ] ~docv:"MS"
-          ~doc:"The hint carried by shed (overloaded) responses")
-  in
   let snapshot_every_arg =
     Arg.(
       value
@@ -1542,15 +1462,6 @@ let serve_cmd =
             "Capacity of the in-memory memo of previously solved states \
              (content-hash keyed; makes edit-and-revert cycles hits)")
   in
-  let no_timings_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "no-timings" ]
-          ~doc:
-            "Zero all wall_us fields and drop wall-clock counters, making \
-             responses byte-comparable across runs")
-  in
   let max_heap_arg =
     Arg.(
       value
@@ -1559,9 +1470,9 @@ let serve_cmd =
           ~doc:
             "Memory ceiling: past it the daemon degrades gracefully — \
              drops the memo and buffered trace events, compacts the \
-             heap, and if still over sheds mutating requests with a \
-             retry_after_ms hint (health and shutdown always answer) — \
-             instead of meeting the OOM killer")
+             heap, and if still over sheds mutating requests as \
+             overloaded with a 50ms retry_after_ms hint (health and \
+             shutdown always answer) — instead of meeting the OOM killer")
   in
   let supervise_arg =
     Arg.(
@@ -1591,14 +1502,13 @@ let serve_cmd =
           requests (analyze, lint, profile, edit, health, shutdown) over \
           stdin/stdout or a Unix socket, with a resident solved program, \
           incremental re-analysis on edit, per-request deadlines, \
-          overload shedding, snapshot/journal recovery, an optional \
-          supervisor, and a graceful memory ceiling")
+          snapshot/journal recovery, an optional supervisor, and a \
+          graceful memory ceiling that sheds load")
     Term.(
-      const run $ file_opt $ analysis_arg $ roots_arg $ engine_arg
-      $ max_tasks_arg $ timeout_arg $ max_flows_arg $ state_arg $ resume_arg
-      $ socket_arg $ deadline_arg $ max_queue_arg $ retry_after_arg
-      $ snapshot_every_arg $ memo_entries_arg $ no_timings_arg $ max_heap_arg
-      $ supervise_arg $ max_restarts_arg)
+      const run $ file_opt $ budgeted_analysis_arg $ roots_arg $ state_arg
+      $ resume_arg $ socket_arg $ deadline_arg $ snapshot_every_arg
+      $ memo_entries_arg $ no_timings_arg $ max_heap_arg $ supervise_arg
+      $ max_restarts_arg)
 
 (* --------------------------------- gen -------------------------------- *)
 
@@ -1676,7 +1586,7 @@ let validate_trace_file path =
                   with K.Json.Parse_error msg -> Error ("bad trace line: " ^ msg)))))
 
 let profile_cmd =
-  let run file config roots top mode from_trace =
+  let run file config roots top from_trace =
     match from_trace with
     | Some path -> (
         match validate_trace_file path with
@@ -1692,8 +1602,11 @@ let profile_cmd =
         | Some file ->
             let trace = C.Trace.create ~timers:true ~events:true () in
             let prog = load_program ~trace file in
-            let roots = roots_of prog roots in
-            let s = ok_or_fail (Api.analyze_program ~config ~mode ~trace prog ~roots) in
+            let roots = roots_of ~format:`Text prog roots in
+            let s =
+              ok_or_fail ~format:`Text
+                (Api.analyze_program ~config ~trace prog ~roots)
+            in
             let name_of id = Program.qualified_name prog (Ids.Meth.of_int id) in
             Format.printf "analysis: %s (%d reachable methods)@.@."
               (C.Config.name config)
@@ -1733,8 +1646,7 @@ let profile_cmd =
     (Cmd.info "profile"
        ~doc:"Run a fully traced analysis and print phase timings, counters, and top-N hot methods/flows")
     Term.(
-      const run $ file_opt $ analysis_arg $ roots_arg $ top_arg $ engine_arg
-      $ from_trace_arg)
+      const run $ file_opt $ analysis_arg $ roots_arg $ top_arg $ from_trace_arg)
 
 let bench_list_cmd =
   let run () =

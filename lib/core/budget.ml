@@ -48,8 +48,6 @@ let trip_name = function
   | Seconds -> "time budget"
   | Flows -> "flow budget"
 
-let pp_trip ppf t = Format.pp_print_string ppf (trip_name t)
-
 let pp ppf b =
   if is_unlimited b then Format.pp_print_string ppf "unlimited"
   else begin

@@ -53,5 +53,4 @@ val check_work :
     pins down). *)
 
 val trip_name : trip -> string
-val pp_trip : Format.formatter -> trip -> unit
 val pp : Format.formatter -> t -> unit

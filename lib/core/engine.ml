@@ -1075,7 +1075,6 @@ let run ?random_order ?(on_budget = `Degrade) t =
 
 let prog_of t = t.prog
 let config_of t = t.config
-let mode_of t = t.mode
 
 let roots t = t.roots
 let is_reachable t (m : Ids.Meth.t) = Ids.Meth.Tbl.mem t.graphs m

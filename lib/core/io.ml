@@ -25,11 +25,6 @@ let level = ref D_flush
 let set_durability d = level := d
 let durability () = !level
 
-let durability_name = function
-  | D_none -> "none"
-  | D_flush -> "flush"
-  | D_fsync -> "fsync"
-
 (* ------------------------------- errors ------------------------------- *)
 
 type error = { io_op : string; io_path : string; io_message : string }
@@ -75,13 +70,6 @@ let reset_stats () =
 (* --------------------------- fault injection -------------------------- *)
 
 type fault = F_eio | F_enospc | F_eintr | F_short_write | F_torn_rename
-
-let fault_name = function
-  | F_eio -> "eio"
-  | F_enospc -> "enospc"
-  | F_eintr -> "eintr"
-  | F_short_write -> "short-write"
-  | F_torn_rename -> "torn-rename"
 
 let all_faults = [ F_eio; F_enospc; F_eintr; F_short_write; F_torn_rename ]
 

@@ -46,9 +46,6 @@ val set_durability : durability -> unit
 
 val durability : unit -> durability
 
-val durability_name : durability -> string
-(** ["none" | "flush" | "fsync"], the CLI vocabulary. *)
-
 (* ------------------------------- errors ------------------------------- *)
 
 type error = {
@@ -75,8 +72,6 @@ type fault =
       (** the source file is truncated to half before the rename lands:
           the torn-page crash a missing fsync exposes.  Readers must
           detect the damage (CRC) and fall back cleanly. *)
-
-val fault_name : fault -> string
 
 type plan
 (** A deterministic schedule of faults over the operation sequence. *)

@@ -118,12 +118,12 @@ let summary_of_result ~trace ~w0 ~c0 (r : Analysis.result) =
     cpu_s = Float.max 0.0 (Sys.time () -. c0);
   }
 
-let analyze_program ?config ?mode ?random_order ?on_budget ?trace prog ~roots =
+let analyze_program ?config ?random_order ?on_budget ?trace prog ~roots =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   guard (fun () ->
       let w0 = Unix.gettimeofday () and c0 = Sys.time () in
       let r =
-        Analysis.run ?config ?mode ?random_order ?on_budget ~trace prog ~roots
+        Analysis.run ?config ?random_order ?on_budget ~trace prog ~roots
       in
       Ok (summary_of_result ~trace ~w0 ~c0 r))
 
@@ -135,7 +135,7 @@ let resume_snapshot ?budget ?random_order ?on_budget ?trace bytes =
       | Error msg -> Error (Internal_error msg)
       | Ok r -> Ok (summary_of_result ~trace ~w0 ~c0 r))
 
-let analyze ?config ?mode ?random_order ?on_budget ?trace ~source ~roots () =
+let analyze ?config ?random_order ?on_budget ?trace ~source ~roots () =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   guard (fun () ->
       let w0 = Unix.gettimeofday () and c0 = Sys.time () in
@@ -146,7 +146,7 @@ let analyze ?config ?mode ?random_order ?on_budget ?trace ~source ~roots () =
           | Error e -> Error e
           | Ok root_meths -> (
               match
-                analyze_program ?config ?mode ?random_order ?on_budget ~trace
+                analyze_program ?config ?random_order ?on_budget ~trace
                   prog ~roots:root_meths
               with
               | Error e -> Error e

@@ -109,7 +109,6 @@ val resolve_roots :
 
 val analyze :
   ?config:Config.t ->
-  ?mode:Engine.mode ->
   ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?trace:Trace.t ->
@@ -118,15 +117,15 @@ val analyze :
   unit ->
   (summary, error) result
 (** The full pipeline: {!compile}, {!resolve_roots}, solve, metrics.
-    Defaults: [config] {!Config.skipflow}, [mode] {!Engine.Dedup}, a
-    fresh quiet trace.  [on_budget] is {!Engine.run}'s budget-trip
-    reaction: [`Degrade] (default) or [`Pause] (the summary then carries
-    [outcome = Paused snapshot]).  (The trailing [unit] makes the
-    optional arguments erasable — all other parameters are labeled.) *)
+    Defaults: [config] {!Config.skipflow}, a fresh quiet trace; the
+    solve always runs the deduplicated engine.  [on_budget] is
+    {!Engine.run}'s budget-trip reaction: [`Degrade] (default) or
+    [`Pause] (the summary then carries [outcome = Paused snapshot]).
+    (The trailing [unit] makes the optional arguments erasable — all
+    other parameters are labeled.) *)
 
 val analyze_program :
   ?config:Config.t ->
-  ?mode:Engine.mode ->
   ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?trace:Trace.t ->

@@ -26,9 +26,6 @@ val const : int -> t
     [leq (const n) s] tests membership of [n] in [s] under either
     lattice (the fuzz oracle relies on this). *)
 
-val vtrue : t
-val vfalse : t
-
 val of_prim : Prim.t -> t
 (** Re-establish the properness invariant: {!Prim.bot} ↦ [Empty],
     {!Prim.top} ↦ [Any], proper payloads boxed as [Prim]. *)

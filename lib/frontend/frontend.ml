@@ -50,9 +50,6 @@ let read_file path =
   close_in ic;
   src
 
-(** [compile_file path] reads and compiles a [.mj] file. *)
-let compile_file (path : string) : Program.t = compile (read_file path)
-
 (** [compile_diags src] compiles with error recovery, accumulating every
     independent syntax / type error instead of stopping at the first.
     Parse diagnostics are reported alone (type-checking a partial AST
@@ -67,13 +64,6 @@ let compile_diags ?(spanner = null_spanner) (src : string) :
       match spanner.span "typecheck" (fun () -> Typecheck.check_diags ast) with
       | Stdlib.Error ds -> Stdlib.Error ds
       | Ok tp -> Ok (spanner.span "lower" (fun () -> Lower.lower_program tp)))
-
-(** [compile_file_diags path] is {!compile_diags} over a file's contents;
-    also returns the source text so callers can render carets. *)
-let compile_file_diags ?spanner (path : string) :
-    string * (Program.t, Diag.t list) result =
-  let src = read_file path in
-  (src, compile_diags ?spanner src)
 
 (** [main_of prog] finds the conventional entry point: a static method
     named [main], preferring one declared in a class named [Main]. *)

@@ -12,9 +12,6 @@ val compile_ast : Ast.program -> Skipflow_ir.Program.t
 (** Type-check and lower an already-parsed program (used by the workload
     generators). *)
 
-val compile_file : string -> Skipflow_ir.Program.t
-(** Read and compile a [.mj] file. *)
-
 val read_file : string -> string
 (** Read a file's entire contents.  @raise Sys_error on I/O failure. *)
 
@@ -32,13 +29,6 @@ val compile_diags :
 (** Compile with error recovery: accumulate every independent syntax /
     type error instead of stopping at the first.  [Ok] results are fully
     lowered and validated, exactly like {!compile}. *)
-
-val compile_file_diags :
-  ?spanner:spanner ->
-  string ->
-  string * (Skipflow_ir.Program.t, Diag.t list) result
-(** {!compile_diags} over a file's contents; also returns the source text
-    so callers can render caret diagnostics. *)
 
 val main_of : Skipflow_ir.Program.t -> Skipflow_ir.Program.meth option
 (** The conventional entry point: a static method named [main], preferring

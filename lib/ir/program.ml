@@ -307,7 +307,6 @@ let freeze p =
 
 let num_classes p = Class.Gen.count p.class_gen
 let num_meths p = Meth.Gen.count p.meth_gen
-let num_fields p = Field.Gen.count p.field_gen
 let cls p (c : Class.t) = (freeze p).z_classes.(Class.to_int c)
 let meth p (m : Meth.t) = (freeze p).z_meths.(Meth.to_int m)
 let field p (f : Field.t) = (freeze p).z_fields.(Field.to_int f)
@@ -390,14 +389,5 @@ let lookup_field p ~(recv_cls : Class.t) ~(field : Field.t) =
 
 let iter_classes p f = Array.iter f (freeze p).z_classes
 let iter_meths p f = Array.iter f (freeze p).z_meths
-let iter_fields p f = Array.iter f (freeze p).z_fields
-
-(** Total instruction count over all method bodies (used as denominator in
-    size reports). *)
-let total_size p =
-  let acc = ref 0 in
-  iter_meths p (fun m ->
-      match m.m_body with Some b -> acc := !acc + Bl.size b | None -> ());
-  !acc
 
 let pp_ty p ppf t = Ty.pp ~class_name:(class_name p) ppf t

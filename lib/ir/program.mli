@@ -91,7 +91,6 @@ val elem_field_of : t -> cls -> field
 val freeze : t -> frozen
 val num_classes : t -> int
 val num_meths : t -> int
-val num_fields : t -> int
 val cls : t -> Class.t -> cls
 val meth : t -> Meth.t -> meth
 val field : t -> Field.t -> field
@@ -127,9 +126,5 @@ val lookup_field : t -> recv_cls:Class.t -> field:Field.t -> field option
 val lookup_field_by_name : t -> recv_cls:Class.t -> name:string -> field option
 val iter_classes : t -> (cls -> unit) -> unit
 val iter_meths : t -> (meth -> unit) -> unit
-val iter_fields : t -> (field -> unit) -> unit
-
-val total_size : t -> int
-(** Total instruction count over all method bodies. *)
 
 val pp_ty : t -> Format.formatter -> Ty.t -> unit

@@ -128,12 +128,10 @@ module Memo = struct
   let clear m = m.items <- []
 end
 
-let memo_key ~config ~mode ~roots ~source =
-  let scope =
-    Printf.sprintf "serve;mode=%s;roots=%s"
-      (match mode with C.Engine.Dedup -> "dedup" | C.Engine.Reference -> "ref")
-      (String.concat "," roots)
-  in
+(* [mode=dedup] stays in the scope as a literal: state directories
+   written by builds whose daemon could pick an engine carry such keys *)
+let memo_key ~config ~roots ~source =
+  let scope = "serve;mode=dedup;roots=" ^ String.concat "," roots in
   C.Cache.key ~config ~scope ~source
 
 (* ----------------------------- persistence ---------------------------- *)
@@ -225,7 +223,7 @@ let certify engine = C.Verify.run engine = []
 (* The post-compile half of a full solve: [prog] was compiled from
    [source] under [trace], which the solve's phases then join.  A caller
    that has fingerprinted [prog] already passes [meth_hashes]. *)
-let solve_program ?meth_hashes ~reason ~config ~mode ~deadline_ms ~generation
+let solve_program ?meth_hashes ~reason ~config ~deadline_ms ~generation
     ~trace ~source ~roots prog =
   let config', on_budget = with_deadline config deadline_ms in
   match
@@ -233,7 +231,7 @@ let solve_program ?meth_hashes ~reason ~config ~mode ~deadline_ms ~generation
         match Api.resolve_roots prog roots with
         | Error e -> Error e
         | Ok root_meths ->
-            Api.analyze_program ~config:config' ~mode ~on_budget ~trace prog
+            Api.analyze_program ~config:config' ~on_budget ~trace prog
               ~roots:root_meths)
   with
   | Error e -> Error (Protocol.Api_error e)
@@ -263,27 +261,27 @@ let solve_program ?meth_hashes ~reason ~config ~mode ~deadline_ms ~generation
           in
           Ok
             (candidate ~strategy:(Full reason) ~verified:false
-               ~key:(memo_key ~config ~mode ~roots ~source)
+               ~key:(memo_key ~config ~roots ~source)
                st (freeze st)))
 
-let solve_full ?(reason = "cold start") ~config ~mode ~deadline_ms ~generation
+let solve_full ?(reason = "cold start") ~config ~deadline_ms ~generation
     ~source ~roots () =
   let trace = C.Trace.create () in
   match Api.compile ~trace (`Text source) with
   | Error e -> Error (Protocol.Api_error e)
   | Ok (prog, _) ->
-      solve_program ~reason ~config ~mode ~deadline_ms ~generation ~trace
+      solve_program ~reason ~config ~deadline_ms ~generation ~trace
         ~source ~roots prog
 
-let edit ~config ~mode ~deadline_ms ~memo st ~source =
+let edit ~config ~deadline_ms ~memo st ~source =
   if String.equal source st.source then Ok (unchanged st)
   else begin
-    let key = memo_key ~config ~mode ~roots:st.roots ~source in
+    let key = memo_key ~config ~roots:st.roots ~source in
     (* on commit, memoize the pre-edit state too, so reverting this edit
        is a hit.  Every commit memoizes its own state, so the memo entry
        under the resident's key, when present, is already its freeze. *)
     let pre_add =
-      let k = memo_key ~config ~mode ~roots:st.roots ~source:st.source in
+      let k = memo_key ~config ~roots:st.roots ~source:st.source in
       (k, match Memo.peek memo k with Some b -> b | None -> freeze st)
     in
     let with_pre_add = function
@@ -292,7 +290,7 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
     in
     let full reason =
       with_pre_add
-        (solve_full ~reason ~config ~mode ~deadline_ms
+        (solve_full ~reason ~config ~deadline_ms
            ~generation:st.generation ~source ~roots:st.roots ())
     in
     match Memo.peek memo key with
@@ -318,7 +316,7 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
                fallback solves [prog] *)
             let full reason =
               with_pre_add
-                (solve_program ~meth_hashes:hashes ~reason ~config ~mode
+                (solve_program ~meth_hashes:hashes ~reason ~config
                    ~deadline_ms ~generation:st.generation ~trace ~source
                    ~roots:st.roots prog)
             in
@@ -365,7 +363,7 @@ let edit ~config ~mode ~deadline_ms ~memo st ~source =
             end)
   end
 
-let analyze_roots ~config ~mode ~deadline_ms ~memo st ~roots =
+let analyze_roots ~config ~deadline_ms ~memo st ~roots =
   let prog = C.Engine.prog_of st.engine in
   match Api.resolve_roots prog roots with
   | Error e -> Error (Protocol.Api_error e)
@@ -375,7 +373,7 @@ let analyze_roots ~config ~mode ~deadline_ms ~memo st ~roots =
       in
       let current = C.Engine.roots st.engine in
       (* not computed on the resident path: it digests the whole source *)
-      let key = lazy (memo_key ~config ~mode ~roots ~source:st.source) in
+      let key = lazy (memo_key ~config ~roots ~source:st.source) in
       let memo_hit () =
         let key = Lazy.force key in
         match Memo.peek memo key with
@@ -397,7 +395,7 @@ let analyze_roots ~config ~mode ~deadline_ms ~memo st ~roots =
       if not (Ids.Meth.Set.subset current requested) then
         (* the root set shrank: retraction, which a monotone engine
            cannot replay — full solve *)
-        solve_full ~reason:"root set shrank or was replaced" ~config ~mode
+        solve_full ~reason:"root set shrank or was replaced" ~config
           ~deadline_ms ~generation:st.generation ~source:st.source ~roots ()
       else begin
         let added =
@@ -441,7 +439,7 @@ let analyze_roots ~config ~mode ~deadline_ms ~memo st ~roots =
             end
             else
               solve_full ~reason:"re-drained engine failed verification"
-                ~config ~mode ~deadline_ms ~generation:st.generation
+                ~config ~deadline_ms ~generation:st.generation
                 ~source:st.source ~roots ()
       end)
 

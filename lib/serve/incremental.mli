@@ -108,7 +108,7 @@ module Memo : sig
       relief valve; costs recomputation, never correctness. *)
 end
 
-val memo_key : config:C.Config.t -> mode:C.Engine.mode -> roots:string list -> source:string -> string
+val memo_key : config:C.Config.t -> roots:string list -> source:string -> string
 (** The content-hash identity of a solved state ({!C.Cache.key} with the
     daemon's scope discipline). *)
 
@@ -130,7 +130,6 @@ type outcome = {
 val solve_full :
   ?reason:string ->
   config:C.Config.t ->
-  mode:C.Engine.mode ->
   deadline_ms:int option ->
   generation:int ->
   source:string ->
@@ -144,7 +143,6 @@ val solve_full :
 
 val edit :
   config:C.Config.t ->
-  mode:C.Engine.mode ->
   deadline_ms:int option ->
   memo:Memo.t ->
   state ->
@@ -157,7 +155,6 @@ val edit :
 
 val analyze_roots :
   config:C.Config.t ->
-  mode:C.Engine.mode ->
   deadline_ms:int option ->
   memo:Memo.t ->
   state ->

@@ -52,7 +52,8 @@ let error_message = function
         "request exceeded its %dms deadline; resident state rolled back"
         deadline_ms
   | Overloaded { retry_after_ms } ->
-      Printf.sprintf "request queue full; retry after %dms" retry_after_ms
+      Printf.sprintf "daemon is over its memory ceiling; retry after %dms"
+        retry_after_ms
   | Shutting_down -> "daemon is shutting down"
 
 (* the CLI's exit-code contract, extended: client mistakes are input
@@ -151,6 +152,20 @@ let api_error_fields (e : Api.error) =
     ("exit_code", Json.Int (Api.exit_code_of_error e));
   ]
   @ diags
+
+let metrics_json (m : Skipflow_core.Metrics.t) =
+  let module M = Skipflow_core.Metrics in
+  Json.Obj
+    [ ("reachable_methods", Json.Int m.M.reachable_methods);
+      ("type_checks", Json.Int m.M.type_checks);
+      ("null_checks", Json.Int m.M.null_checks);
+      ("prim_checks", Json.Int m.M.prim_checks);
+      ("poly_calls", Json.Int m.M.poly_calls);
+      ("mono_calls", Json.Int m.M.mono_calls);
+      ("binary_size", Json.Int m.M.binary_size);
+      ("flows", Json.Int m.M.flows);
+      ("instantiated_types", Json.Int m.M.instantiated_types);
+    ]
 
 let api_error_json e =
   Json.Obj

@@ -9,10 +9,11 @@
     {e response}, not a daemon crash — the structured-error counterpart
     of {!Skipflow_api.protect}.
 
-    The error objects here are shared with the one-shot CLI
+    The error and metrics objects here are shared with the one-shot CLI
     ([--format json]): {!api_error_json} is the exact document
-    [skipflow analyze] prints on failure, so batch tooling can treat the
-    two surfaces uniformly. *)
+    [skipflow analyze] and [skipflow lint] print on failure, and
+    {!metrics_json} the metrics member of a successful [analyze], so
+    batch tooling can treat the two surfaces uniformly. *)
 
 module Api = Skipflow_api
 
@@ -53,7 +54,8 @@ type error =
   | Deadline_exceeded of { deadline_ms : int }
       (** the request's budget tripped; resident state was rolled back *)
   | Overloaded of { retry_after_ms : int }
-      (** the bounded request queue is full; retry after the hint *)
+      (** the daemon is over its memory ceiling ([--max-heap-mb]); retry
+          after the hint *)
   | Shutting_down  (** received after a [shutdown] request *)
 
 val error_kind : error -> string
@@ -87,10 +89,15 @@ val api_error_fields : Api.error -> (string * Skipflow_checks.Json.t) list
     for compile errors) of a facade error — the body of every error
     object, CLI and serve alike. *)
 
+val metrics_json : Skipflow_core.Metrics.t -> Skipflow_checks.Json.t
+(** The nine Table 1 metrics as one object: the ["metrics"] member of
+    [skipflow analyze --format json] and of serve's [analyze] and [edit]
+    results. *)
+
 val api_error_json : Api.error -> Skipflow_checks.Json.t
 (** The one-shot CLI's machine-readable failure document:
-    [{"schema_version", "error": {...}}].  [skipflow analyze --format
-    json] prints exactly this. *)
+    [{"schema_version", "error": {...}}].  [skipflow analyze] and
+    [skipflow lint] print exactly this under [--format json]. *)
 
 val error_json : error -> Skipflow_checks.Json.t
 (** The serve response's ["error"] member.  {!Overloaded} adds a

@@ -1,8 +1,7 @@
 (** The daemon state machine.  Transport (stdin/socket, signals,
     blocking reads) lives in the CLI; this module owns request handling,
-    the journal, snapshots, warm-start replay, the bounded queue and
-    overload shedding — all driveable in process by tests and the fuzz
-    harness. *)
+    the journal, snapshots, warm-start replay and the memory ceiling —
+    all driveable in process by tests and the fuzz harness. *)
 
 module C = Skipflow_core
 module Api = Skipflow_api
@@ -15,13 +14,10 @@ module I = Incremental
 
 type cfg = {
   sv_config : C.Config.t;
-  sv_mode : C.Engine.mode;
   sv_roots : string list;
   sv_state_dir : string option;
   sv_snapshot_every : int;
   sv_deadline_ms : int option;
-  sv_max_queue : int;
-  sv_retry_after_ms : int;
   sv_memo_entries : int;
   sv_timings : bool;
   sv_max_heap_mb : int option;
@@ -32,13 +28,10 @@ type cfg = {
 let default_cfg =
   {
     sv_config = C.Config.skipflow;
-    sv_mode = C.Engine.Dedup;
     sv_roots = [];
     sv_state_dir = None;
     sv_snapshot_every = 1;
     sv_deadline_ms = None;
-    sv_max_queue = 64;
-    sv_retry_after_ms = 50;
     sv_memo_entries = 8;
     sv_timings = false;
     sv_max_heap_mb = None;
@@ -73,17 +66,11 @@ type t = {
   mutable finalized : bool;
   mutable served : int;
   mutable mem_shed : int;  (** requests shed by the memory ceiling *)
-  queue : string Queue.t;
 }
 
 let generation t = match t.st with Some s -> s.I.generation | None -> 0
 let state t = t.st
 let wants_shutdown t = t.shutdown
-let pending t = Queue.length t.queue
-
-let mode_name = function
-  | C.Engine.Dedup -> "dedup"
-  | C.Engine.Reference -> "ref"
 
 (* ----------------------------- persistence ---------------------------- *)
 
@@ -114,12 +101,13 @@ let digest_line line = Digest.to_hex (Digest.string (String.trim line))
 
 (* restarting under a different analysis configuration silently mixing
    with a snapshot solved under the old one would be exactly the kind of
-   skew the fallback machinery exists for — detect it by content hash *)
+   skew the fallback machinery exists for — detect it by content hash.
+   The literal [mode=dedup] keeps the fingerprints of state directories
+   written by builds whose daemon could pick an engine. *)
 let config_fingerprint cfg =
   C.Cache.key ~config:cfg.sv_config
     ~scope:
-      (Printf.sprintf "serve-config;mode=%s;roots=%s" (mode_name cfg.sv_mode)
-         (String.concat "," cfg.sv_roots))
+      ("serve-config;mode=dedup;roots=" ^ String.concat "," cfg.sv_roots)
     ~source:""
 
 type manifest = {
@@ -338,25 +326,13 @@ let journal_append t ~digest ~ok resp_json =
 
 (* ------------------------------ responses ----------------------------- *)
 
-let metrics_json (m : C.Metrics.t) =
-  Json.Obj
-    [ ("reachable_methods", Json.Int m.C.Metrics.reachable_methods);
-      ("type_checks", Json.Int m.C.Metrics.type_checks);
-      ("null_checks", Json.Int m.C.Metrics.null_checks);
-      ("prim_checks", Json.Int m.C.Metrics.prim_checks);
-      ("poly_calls", Json.Int m.C.Metrics.poly_calls);
-      ("mono_calls", Json.Int m.C.Metrics.mono_calls);
-      ("binary_size", Json.Int m.C.Metrics.binary_size);
-      ("flows", Json.Int m.C.Metrics.flows);
-      ("instantiated_types", Json.Int m.C.Metrics.instantiated_types);
-    ]
-
 let summary_json t ~wall_us (o : I.outcome) =
   let st = o.I.o_state in
   let m = st.I.metrics in
   Json.Obj
     ([ ("analysis", Json.Str (C.Config.name t.cfg.sv_config));
-       ("engine", Json.Str (mode_name t.cfg.sv_mode));
+       (* schema-1 field; the daemon always solves with the dedup engine *)
+       ("engine", Json.Str "dedup");
        ("strategy", Json.Str (I.strategy_name o.I.o_strategy));
      ]
     @ (match I.strategy_reason o.I.o_strategy with
@@ -365,7 +341,7 @@ let summary_json t ~wall_us (o : I.outcome) =
     @ [ ("verified", Json.Bool o.I.o_verified);
         ("generation", Json.Int st.I.generation);
         ("degraded", Json.Bool m.C.Metrics.degraded);
-        ("metrics", metrics_json m);
+        ("metrics", P.metrics_json m);
         ("wall_us", Json.Int wall_us);
       ])
 
@@ -402,7 +378,7 @@ let profile_json t (st : I.state) =
   in
   Json.Obj
     [ ("analysis", Json.Str (C.Config.name t.cfg.sv_config));
-      ("engine", Json.Str (mode_name t.cfg.sv_mode));
+      ("engine", Json.Str "dedup");
       ("generation", Json.Int st.I.generation);
       ( "stats",
         Json.Obj
@@ -434,7 +410,7 @@ let protected f =
     the memo and the generation exactly as they were (rollback by
     construction). *)
 let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
-  let config = t.cfg.sv_config and mode = t.cfg.sv_mode in
+  let config = t.cfg.sv_config in
   let wall_us () =
     if t.cfg.sv_timings then
       (* clamped: a backwards clock step must not report negative time *)
@@ -484,16 +460,16 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
       let r =
         match t.st with
         | None ->
-            I.solve_full ~reason:"initial program" ~config ~mode ~deadline_ms
+            I.solve_full ~reason:"initial program" ~config ~deadline_ms
               ~generation:0 ~source ~roots:t.cfg.sv_roots ()
-        | Some st -> I.edit ~config ~mode ~deadline_ms ~memo:t.memo st ~source
+        | Some st -> I.edit ~config ~deadline_ms ~memo:t.memo st ~source
       in
       match r with Error _ as e -> e | Ok o -> Ok (commit o))
   | P.Analyze { roots } ->
       need_state (fun st ->
           let roots = Option.value ~default:st.I.roots roots in
           match
-            I.analyze_roots ~config ~mode ~deadline_ms ~memo:t.memo st ~roots
+            I.analyze_roots ~config ~deadline_ms ~memo:t.memo st ~roots
           with
           | Error _ as e -> e
           | Ok o -> Ok (commit o))
@@ -508,6 +484,8 @@ let emit t ~line ~ok resp_json =
 
 (* ---------------------------- memory ceiling --------------------------- *)
 
+let shed_retry_after_ms = 50
+
 let heap_mb () =
   (Gc.quick_stat ()).Gc.heap_words * (Sys.word_size / 8) / (1024 * 1024)
 
@@ -515,9 +493,11 @@ let heap_mb () =
     heap crosses [sv_max_heap_mb], drop the cheap-to-recompute state
     first — the memo LRU and the resident trace's event buffer — and
     compact; only if the heap is {e still} over the ceiling is the
-    request shed (with the retry hint).  Shed-by-memory responses are
-    not journaled, same rationale as queue shedding: memory pressure
-    depends on timing, and replay must stay deterministic. *)
+    request shed, with {!shed_retry_after_ms} as the hint.  Shed
+    responses are not journaled: memory pressure depends on timing, and
+    replay must stay deterministic.  A shed request re-sent after a
+    restart desynchronizes the replay cursor, which degrades to fresh
+    (deterministic) processing. *)
 let over_ceiling t =
   match t.cfg.sv_max_heap_mb with
   | None -> false
@@ -554,7 +534,7 @@ let process t line =
         t.mem_shed <- t.mem_shed + 1;
         [ P.response_line
             (P.response_error ~id:env.P.req_id
-               (P.Overloaded { retry_after_ms = t.cfg.sv_retry_after_ms }));
+               (P.Overloaded { retry_after_ms = shed_retry_after_ms }));
         ]
     | Ok env -> (
         let deadline_ms =
@@ -607,32 +587,6 @@ let handle_line t line =
     match try_replay t line with
     | Some responses -> responses
     | None -> process t line
-
-(* -------------------------- queue and shedding ------------------------ *)
-
-let submit t line =
-  if String.trim line = "" then []
-  else if Queue.length t.queue >= t.cfg.sv_max_queue then begin
-    (* shed, never block: the overload response is immediate, carries the
-       retry hint, and is deliberately NOT journaled — shedding depends
-       on arrival timing, so replaying it would bake nondeterminism into
-       the journal.  A shed request re-sent after a restart simply
-       desynchronizes the replay cursor, which degrades gracefully to
-       fresh (deterministic) processing. *)
-    [ P.response_line
-        (P.response_error ~id:(P.request_id line)
-           (P.Overloaded { retry_after_ms = t.cfg.sv_retry_after_ms }));
-    ]
-  end
-  else begin
-    Queue.add line t.queue;
-    []
-  end
-
-let drain_one t =
-  match Queue.take_opt t.queue with
-  | None -> None
-  | Some line -> Some (handle_line t line)
 
 (* ------------------------------ lifecycle ----------------------------- *)
 
@@ -736,7 +690,6 @@ let create ?initial ~resume cfg =
       finalized = false;
       served = 0;
       mem_shed = 0;
-      queue = Queue.create ();
     }
   in
   Option.iter
@@ -776,8 +729,7 @@ let create ?initial ~resume cfg =
           | Ok source -> (
               match
                 I.solve_full ~reason:"initial program" ~config:cfg.sv_config
-                  ~mode:cfg.sv_mode ~deadline_ms:None ~generation:0 ~source
-                  ~roots:cfg.sv_roots ()
+                  ~deadline_ms:None ~generation:0 ~source ~roots:cfg.sv_roots ()
               with
               | Error err -> Error (P.error_message err)
               | Ok o ->

@@ -14,31 +14,30 @@
     is written once, as a content-addressed blob under [DIR/blobs/], and
     an atomically replaced manifest ([DIR/serve.snap]) names the blobs in
     use — a [kill -9] at any point loses at most the in-flight request,
-    and a
-    restart with [resume:true] re-emits journaled responses byte for
-    byte while re-executing post-snapshot mutations to catch the
-    resident state up. *)
+    and a restart with [resume:true] re-emits journaled responses byte
+    for byte while re-executing post-snapshot mutations to catch the
+    resident state up.  Overload is bounded by the memory ceiling
+    ([sv_max_heap_mb]), which sheds mutating requests instead of letting
+    the OOM killer take the daemon. *)
 
 module C = Skipflow_core
 module Api = Skipflow_api
 
 type cfg = {
   sv_config : C.Config.t;
-  sv_mode : C.Engine.mode;
   sv_roots : string list;  (** initial root names; [[]] = static main *)
   sv_state_dir : string option;  (** snapshots + journal; [None] = none *)
   sv_snapshot_every : int;
       (** mutations between snapshots; 1 = after every mutation *)
   sv_deadline_ms : int option;  (** default per-request deadline *)
-  sv_max_queue : int;  (** bounded request queue capacity *)
-  sv_retry_after_ms : int;  (** the hint shed responses carry *)
   sv_memo_entries : int;  (** memo capacity (solved states) *)
   sv_timings : bool;  (** report wall_us; off = 0, byte-comparable *)
   sv_max_heap_mb : int option;
       (** memory ceiling: past it, memo and trace events are dropped and
           the heap compacted; if still over, mutating requests are shed
-          with the retry hint ([health]/[shutdown] always answer).
-          Shed-by-memory responses are never journaled. *)
+          as {!Protocol.Overloaded} with a 50ms retry hint
+          ([health]/[shutdown] always answer).  Shed responses are never
+          journaled. *)
   sv_restarts : int;
       (** how many times the supervisor has restarted this daemon
           (surfaced in [health]; 0 when unsupervised) *)
@@ -46,9 +45,9 @@ type cfg = {
 }
 
 val default_cfg : cfg
-(** skipflow config, dedup engine, main root, no state dir, snapshot
-    every mutation, no deadline, queue of 64, retry hint 50ms, 8 memo
-    entries, timings off, silent log. *)
+(** skipflow config, main root, no state dir, snapshot every mutation,
+    no deadline, 8 memo entries, timings off, no memory ceiling, not
+    restarted, silent log. *)
 
 type t
 
@@ -69,15 +68,6 @@ val handle_line : t -> string -> string list
     dispatch, journal, snapshot; returns the response lines (empty for a
     blank input line).  Never raises. *)
 
-val submit : t -> string -> string list
-(** Enqueue a request line, or shed it: when the bounded queue is full
-    the returned list carries the {!Protocol.Overloaded} response (with
-    the [retry_after_ms] hint) and the line is dropped. *)
-
-val drain_one : t -> string list option
-(** Process the oldest queued request ([None] if the queue is empty). *)
-
-val pending : t -> int
 val wants_shutdown : t -> bool
 (** A [shutdown] request was processed; the loop should {!finalize}. *)
 

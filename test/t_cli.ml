@@ -75,8 +75,8 @@ let int_member ~ctx name j =
   | Some (K.Json.Int n) -> n
   | _ -> Alcotest.failf "%s: missing int field %S" ctx name
 
-(* Every error variant: documented exit code, JSON error object on
-   stdout, empty stderr. *)
+(* Every error variant, from analyze and from lint: documented exit code,
+   JSON error object on stdout, empty stderr. *)
 let test_json_error_matrix () =
   in_temp_dir (fun dir ->
       let ok_mj = Filename.concat dir "ok.mj" in
@@ -94,35 +94,42 @@ let test_json_error_matrix () =
             [ "analyze"; ok_mj; "--root"; "Nope.x"; "--format"; "json" ],
             2 );
           ("no_main", [ "analyze"; lib_mj; "--format"; "json" ], 2);
+          ("io_error", [ "lint"; dir; "--format"; "json" ], 2);
+          ("compile_error", [ "lint"; bad_mj; "--format"; "json" ], 2);
+          ( "unknown_root",
+            [ "lint"; ok_mj; "--root"; "Nope.x"; "--format"; "json" ],
+            2 );
+          ("no_main", [ "lint"; lib_mj; "--format"; "json" ], 2);
         ]
       in
       List.iter
         (fun (kind, args, expected_code) ->
+          let ctx = List.hd args ^ " " ^ kind in
           let code, out, err = run_cli ~dir args in
-          Alcotest.(check int) (kind ^ ": exit code") expected_code code;
-          Alcotest.(check string) (kind ^ ": stderr is empty") "" err;
-          let j = json_of ~ctx:kind out in
+          Alcotest.(check int) (ctx ^ ": exit code") expected_code code;
+          Alcotest.(check string) (ctx ^ ": stderr is empty") "" err;
+          let j = json_of ~ctx out in
           Alcotest.(check int)
-            (kind ^ ": schema version")
+            (ctx ^ ": schema version")
             K.Json.current_schema_version
-            (int_member ~ctx:kind "schema_version" j);
+            (int_member ~ctx "schema_version" j);
           match K.Json.member "error" j with
           | Some e ->
-              Alcotest.(check string) (kind ^ ": kind") kind
-                (str_member ~ctx:kind "kind" e);
+              Alcotest.(check string) (ctx ^ ": kind") kind
+                (str_member ~ctx "kind" e);
               Alcotest.(check int)
-                (kind ^ ": embedded exit code matches real one")
+                (ctx ^ ": embedded exit code matches real one")
                 expected_code
-                (int_member ~ctx:kind "exit_code" e);
+                (int_member ~ctx "exit_code" e);
               Alcotest.(check bool)
-                (kind ^ ": has a message")
+                (ctx ^ ": has a message")
                 true
-                (String.length (str_member ~ctx:kind "message" e) > 0);
+                (String.length (str_member ~ctx "message" e) > 0);
               if kind = "compile_error" then (
                 match K.Json.member "diags" e with
                 | Some (K.Json.Arr (_ :: _)) -> ()
-                | _ -> Alcotest.fail "compile_error: no diagnostics")
-          | None -> Alcotest.failf "%s: no error object: %s" kind out)
+                | _ -> Alcotest.failf "%s: no diagnostics" ctx)
+          | None -> Alcotest.failf "%s: no error object: %s" ctx out)
         cases;
       (* the same errors in text mode land on stderr and keep the codes *)
       let code, _, err = run_cli ~dir [ "analyze"; bad_mj ] in
@@ -248,9 +255,9 @@ let test_batch_resume_and_cache () =
       in
       Alcotest.(check int) "cold run has no hits" 0 (hits s_cold);
       Alcotest.(check int) "warm run hits both successful jobs" 2 (hits s_warm);
-      (* the key is scoped by roots and engine mode: reusing the cache
-         dir under a different --root or --engine must never hit — the
-         cached reachable sets were computed from other roots *)
+      (* the key is scoped by roots: reusing the cache dir under a
+         different --root must never hit — the cached reachable sets were
+         computed from other roots *)
       let s_rooted = Filename.concat dir "rooted.json" in
       ignore
         (run_cli ~dir
@@ -258,12 +265,6 @@ let test_batch_resume_and_cache () =
              "Main.main"; "-o"; s_rooted ]);
       Alcotest.(check int) "explicit --root shares no entries" 0
         (hits s_rooted);
-      let s_ref = Filename.concat dir "ref.json" in
-      ignore
-        (run_cli ~dir
-           [ "batch"; manifest; "--no-timings"; "--cache"; cache; "--engine";
-             "ref"; "-o"; s_ref ]);
-      Alcotest.(check int) "--engine ref shares no entries" 0 (hits s_ref);
       (* pretty-printed summaries are one field per line: dropping the
          cache-bookkeeping lines must leave identical analysis results *)
       let scrub path =

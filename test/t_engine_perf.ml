@@ -3,7 +3,8 @@
 
    - both modes must reach bit-identical fixed points — same reachable
      set and [Vstate.equal] state/raw plus the same enabled bit on every
-     flow — across a fuzz corpus and both the SkipFlow and PTA configs;
+     flow — across a fuzz corpus under the SkipFlow, PTA and
+     SkipFlow-with-product-domain configs;
    - deduplication must pay: [tasks_processed] strictly decreases (and
      by at least 2x on the benchmark-sized workload), with the collapsed
      emits accounted in the [dedup_*] counters;
@@ -70,7 +71,10 @@ let test_dedup_matches_reference_fuzz () =
         let d = run ~mode:C.Engine.Dedup ~config prog main in
         let r = run ~mode:C.Engine.Reference ~config prog main in
         check_same_fixed_point ~ctx:(Printf.sprintf "seed %d, %s" seed name) d r)
-      [ ("skipflow", C.Config.skipflow); ("pta", C.Config.pta) ]
+      [ ("skipflow", C.Config.skipflow); ("pta", C.Config.pta);
+        ( "skipflow-product",
+          { C.Config.skipflow with C.Config.pval = C.Pval.Product } );
+      ]
   done
 
 let example_srcs =

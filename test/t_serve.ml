@@ -2,7 +2,8 @@
    facade error variant and every serve-specific error, each with its
    stable kind and exit code), incremental-vs-fresh flow-by-flow equality
    over an edit corpus that exercises every strategy, deadline rollback,
-   overload shedding, and kill-9/warm-restart response byte-equality. *)
+   memory-ceiling shedding, and kill-9/warm-restart response
+   byte-equality. *)
 
 module C = Skipflow_core
 module K = Skipflow_checks
@@ -204,11 +205,10 @@ let dead_edit = replace ~sub:"return 2" ~by:"return 3" base_src
 let live_edit = replace ~sub:"return 1" ~by:"return 5" base_src
 
 let config = C.Config.skipflow
-let mode = C.Engine.Dedup
 
 let fresh_engine ~source ~roots =
   match
-    I.solve_full ~config ~mode ~deadline_ms:None ~generation:0 ~source ~roots ()
+    I.solve_full ~config ~deadline_ms:None ~generation:0 ~source ~roots ()
   with
   | Ok o -> o.I.o_state.I.engine
   | Error e -> Alcotest.failf "fresh solve failed: %s" (P.error_message e)
@@ -233,7 +233,7 @@ let test_incremental_matches_fresh () =
     | Error msg -> Alcotest.failf "%s: diverged from fresh solve: %s" label msg
   in
   let edit label st source expect =
-    match I.edit ~config ~mode ~deadline_ms:None ~memo st ~source with
+    match I.edit ~config ~deadline_ms:None ~memo st ~source with
     | Error e -> Alcotest.failf "%s: %s" label (P.error_message e)
     | Ok o ->
         Alcotest.(check string) label expect (I.strategy_name o.I.o_strategy);
@@ -242,7 +242,7 @@ let test_incremental_matches_fresh () =
         st
   in
   let analyze label st roots expect =
-    match I.analyze_roots ~config ~mode ~deadline_ms:None ~memo st ~roots with
+    match I.analyze_roots ~config ~deadline_ms:None ~memo st ~roots with
     | Error e -> Alcotest.failf "%s: %s" label (P.error_message e)
     | Ok o ->
         Alcotest.(check string) label expect (I.strategy_name o.I.o_strategy);
@@ -252,7 +252,7 @@ let test_incremental_matches_fresh () =
   in
   let st =
     match
-      I.solve_full ~config ~mode ~deadline_ms:None ~generation:0
+      I.solve_full ~config ~deadline_ms:None ~generation:0
         ~source:base_src ~roots:[] ()
     with
     | Ok o -> commit o
@@ -283,19 +283,19 @@ let test_incremental_verified_flag () =
   let memo = I.Memo.create 4 in
   let st =
     match
-      I.solve_full ~config ~mode ~deadline_ms:None ~generation:0
+      I.solve_full ~config ~deadline_ms:None ~generation:0
         ~source:base_src ~roots:[] ()
     with
     | Ok o -> o.I.o_state
     | Error e -> Alcotest.failf "initial solve: %s" (P.error_message e)
   in
-  (match I.edit ~config ~mode ~deadline_ms:None ~memo st ~source:dead_edit with
+  (match I.edit ~config ~deadline_ms:None ~memo st ~source:dead_edit with
   | Ok o ->
       Alcotest.(check string) "reuse" "reuse" (I.strategy_name o.I.o_strategy);
       Alcotest.(check bool) "reuse is certified" true o.I.o_verified
   | Error e -> Alcotest.failf "edit: %s" (P.error_message e));
   match
-    I.analyze_roots ~config ~mode ~deadline_ms:None ~memo st
+    I.analyze_roots ~config ~deadline_ms:None ~memo st
       ~roots:[ "Main.main"; "Dead.never" ]
   with
   | Ok o ->
@@ -371,28 +371,40 @@ let test_deadline_rollback () =
   Alcotest.(check bool) "edit commits without deadline" true (bool_member "ok" j);
   Alcotest.(check int) "generation advanced" (gen0 + 1) (Sv.generation srv)
 
-let test_overload_shedding () =
-  let srv =
-    create_exn ~initial:(`Text base_src) ~resume:false
-      { quiet_cfg with Sv.sv_max_queue = 1; sv_retry_after_ms = 75 }
-  in
-  Alcotest.(check (list string)) "first enqueues" []
-    (Sv.submit srv (op_req 1 "health"));
-  Alcotest.(check int) "one pending" 1 (Sv.pending srv);
-  let shed = one_response (Sv.submit srv (op_req 2 "health")) in
-  Alcotest.(check bool) "shed not ok" false (bool_member "ok" shed);
-  Alcotest.(check string) "shed kind" "overloaded"
-    (str_member "kind" (error_of shed));
-  Alcotest.(check int) "retry hint" 75
-    (int_member "retry_after_ms" (error_of shed));
-  Alcotest.(check int) "still one pending" 1 (Sv.pending srv);
-  (match Sv.drain_one srv with
-  | Some [ line ] ->
-      let j = K.Json.of_string (String.trim line) in
-      Alcotest.(check bool) "queued request served" true (bool_member "ok" j)
-  | _ -> Alcotest.fail "drain_one served nothing");
-  Alcotest.(check int) "queue drained" 0 (Sv.pending srv);
-  Alcotest.(check bool) "drained dry" true (Sv.drain_one srv = None)
+(* A ceiling of 0 MB stays exceeded even after the memo is dropped and
+   the heap compacted (a live ballast guarantees a heap of at least
+   2 MB): every mutating request is shed. *)
+let test_memory_ceiling_shedding () =
+  with_state_dir (fun dir ->
+      let srv =
+        create_exn ~initial:(`Text base_src) ~resume:false
+          { quiet_cfg with
+            Sv.sv_state_dir = Some dir;
+            sv_max_heap_mb = Some 0;
+          }
+      in
+      let journal_lines () =
+        match C.Io.read_file (Filename.concat dir "journal.jsonl") with
+        | Ok s -> List.length (String.split_on_char '\n' s)
+        | Error _ -> 0
+      in
+      let gen0 = Sv.generation srv and lines0 = journal_lines () in
+      let ballast = Array.make (1 lsl 18) 0 in
+      let shed = one_response (Sv.handle_line srv (edit_req 1 live_edit)) in
+      ignore (Sys.opaque_identity ballast);
+      Alcotest.(check bool) "shed not ok" false (bool_member "ok" shed);
+      Alcotest.(check string) "shed kind" "overloaded"
+        (str_member "kind" (error_of shed));
+      Alcotest.(check int) "retry hint" 50
+        (int_member "retry_after_ms" (error_of shed));
+      Alcotest.(check int) "generation unchanged" gen0 (Sv.generation srv);
+      Alcotest.(check int) "the shed is not journaled" lines0 (journal_lines ());
+      (* health is never shed, and counts the shed request *)
+      let j = one_response (Sv.handle_line srv (op_req 2 "health")) in
+      Alcotest.(check bool) "health answers" true (bool_member "ok" j);
+      match K.Json.member "result" j with
+      | Some r -> Alcotest.(check int) "memory_shed" 1 (int_member "memory_shed" r)
+      | None -> Alcotest.fail "health has no result")
 
 (* ----------------------- kill -9 and warm restart ----------------------- *)
 
@@ -696,8 +708,8 @@ let suite =
         test_server_structured_errors;
       Alcotest.test_case "deadline trips roll the resident state back" `Quick
         test_deadline_rollback;
-      Alcotest.test_case "bounded queue sheds with a retry hint" `Quick
-        test_overload_shedding;
+      Alcotest.test_case "memory ceiling sheds with a retry hint" `Quick
+        test_memory_ceiling_shedding;
       Alcotest.test_case "kill -9 / resume replays byte-identically" `Quick
         test_kill_resume_byte_identical;
       Alcotest.test_case "corrupt snapshot falls back to a cold start" `Quick

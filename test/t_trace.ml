@@ -19,11 +19,9 @@ module W = Skipflow_workloads
 let workload () =
   W.Gen.compile { W.Gen.default_params with live_units = 10; dead_units = 2 }
 
-let run_with_trace ~mode prog main =
+let run_with_trace ?mode prog main =
   let trace = C.Trace.create ~timers:true ~events:true () in
-  match Api.analyze_program ~mode ~trace prog ~roots:[ main ] with
-  | Ok s -> s
-  | Error e -> Alcotest.failf "analyze_program failed: %s" (Api.error_message e)
+  C.Analysis.run ?mode ~trace prog ~roots:[ main ]
 
 let counter_value trace name =
   C.Trace.value (C.Trace.counter trace name)
@@ -52,8 +50,8 @@ let test_counters_across_engines () =
   let same name =
     Alcotest.(check int)
       (name ^ " equal across dedup/ref")
-      (counter_value r.Api.trace name)
-      (counter_value d.Api.trace name)
+      (counter_value r.C.Analysis.trace name)
+      (counter_value d.C.Analysis.trace name)
   in
   (* fixed-point facts: identical by the dedup==ref equivalence *)
   List.iter same
@@ -63,15 +61,15 @@ let test_counters_across_engines () =
   List.iter
     (fun name ->
       Alcotest.(check int) (name ^ " is 0 in ref mode") 0
-        (counter_value r.Api.trace name))
+        (counter_value r.C.Analysis.trace name))
     [ "engine.dedup_input"; "engine.dedup_enable"; "engine.dedup_notify" ];
   Alcotest.(check bool) "dedup drains fewer tasks" true
-    (counter_value d.Api.trace "engine.tasks_processed"
-    < counter_value r.Api.trace "engine.tasks_processed");
+    (counter_value d.C.Analysis.trace "engine.tasks_processed"
+    < counter_value r.C.Analysis.trace "engine.tasks_processed");
   (* the stats snapshot is the counters *)
-  let s = C.Engine.stats d.Api.engine in
+  let s = C.Engine.stats d.C.Analysis.engine in
   Alcotest.(check int) "stats snapshot mirrors counters"
-    (counter_value d.Api.trace "engine.tasks_processed")
+    (counter_value d.C.Analysis.trace "engine.tasks_processed")
     s.C.Engine.tasks_processed
 
 (* ----- phases ----- *)
@@ -105,7 +103,7 @@ let test_phases_timed_off () =
 let test_analysis_phases () =
   let prog, main = workload () in
   let s = run_with_trace ~mode:C.Engine.Dedup prog main in
-  let names = List.map (fun p -> p.C.Trace.ph_name) (C.Trace.phases s.Api.trace) in
+  let names = List.map (fun p -> p.C.Trace.ph_name) (C.Trace.phases s.C.Analysis.trace) in
   List.iter
     (fun n ->
       Alcotest.(check bool) (n ^ " phase recorded") true (List.mem n names))
@@ -131,7 +129,7 @@ let test_jsonl_roundtrip () =
   let lines =
     List.filter
       (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' (C.Trace.jsonl_string s.Api.trace))
+      (String.split_on_char '\n' (C.Trace.jsonl_string s.C.Analysis.trace))
   in
   Alcotest.(check bool) "has header + content" true (List.length lines > 3);
   let docs = List.map K.Json.of_string lines in
@@ -152,13 +150,13 @@ let test_jsonl_roundtrip () =
          docs)
   in
   Alcotest.(check int) "all events round-trip"
-    (C.Trace.event_count s.Api.trace)
+    (C.Trace.event_count s.C.Analysis.trace)
     n_parsed_events
 
 let test_chrome_valid () =
   let prog, main = workload () in
   let s = run_with_trace ~mode:C.Engine.Dedup prog main in
-  let doc = K.Json.of_string (C.Trace.chrome_string s.Api.trace) in
+  let doc = K.Json.of_string (C.Trace.chrome_string s.C.Analysis.trace) in
   (match K.Json.check_schema_version doc with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
