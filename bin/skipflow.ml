@@ -77,18 +77,16 @@ let durability_arg =
     value
     & opt
         (enum
-           [ ("none", C.Io.D_none); ("flush", C.Io.D_flush);
-             ("fsync", C.Io.D_fsync) ])
+           [ ("flush", C.Io.D_flush); ("fsync", C.Io.D_fsync) ])
         C.Io.D_flush
     & info [ "durability" ] ~docv:"LEVEL"
         ~doc:
           "How hard persisted state (snapshots, cache entries, journals, \
-           trace exports) hits the disk: none (buffer in user space until \
-           close), flush (complete every write(2) before reporting \
-           success; the default, byte-identical to previous releases), or \
-           fsync (additionally fsync files, parent directories, and every \
-           journal line — survives power loss).  Never changes analysis \
-           results, only when bytes are safe")
+           trace exports) hits the disk: flush (complete every write(2) \
+           before reporting success; the default) or fsync (additionally \
+           fsync files, parent directories, and every journal line — \
+           survives power loss).  Never changes analysis results, only \
+           when bytes are safe")
 
 let analysis_arg =
   let base =
@@ -227,13 +225,6 @@ let trace_arg =
     & info [ "trace" ] ~docv:"OUT.json"
         ~doc:"Write a Chrome trace_event file (phases + solver events), loadable in chrome://tracing or Perfetto")
 
-let trace_jsonl_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "trace-jsonl" ] ~docv:"OUT.jsonl"
-        ~doc:"Write the trace as JSON-lines (header, phases, counters, events)")
-
 let timings_arg =
   Arg.(value & flag & info [ "timings" ] ~doc:"Print the per-phase wall/CPU breakdown and the counter registry")
 
@@ -272,9 +263,8 @@ let resume_from_arg =
 
 let analyze_cmd =
   let run file config roots list_reachable dot dump_ir saturation
-      allow_degraded format trace_out trace_jsonl timings no_timings snapshot
-      resume_from =
-    let want_trace = trace_out <> None || trace_jsonl <> None in
+      allow_degraded format trace_out timings no_timings snapshot resume_from =
+    let want_trace = trace_out <> None in
     let trace =
       C.Trace.create
         ~timers:(timings || want_trace || format = `Json)
@@ -317,17 +307,13 @@ let analyze_cmd =
     let prog = C.Engine.prog_of s.Api.engine in
     if dump_ir then Format.printf "%a@." Ir_pp.pp_program prog;
     let meth_name id = Program.qualified_name prog (Ids.Meth.of_int id) in
-    let warn_trace = function
-      | Ok () -> ()
-      | Error e ->
-          Format.eprintf "warning: trace export failed: %s@."
-            (C.Io.error_message e)
-    in
     (match trace_out with
-    | Some path -> warn_trace (C.Trace.write_chrome ~meth_name trace path)
-    | None -> ());
-    (match trace_jsonl with
-    | Some path -> warn_trace (C.Trace.write_jsonl ~meth_name trace path)
+    | Some path -> (
+        match C.Trace.write_chrome ~meth_name trace path with
+        | Ok () -> ()
+        | Error e ->
+            Format.eprintf "warning: trace export failed: %s@."
+              (C.Io.error_message e))
     | None -> ());
     (match format with
     | `Json ->
@@ -372,8 +358,7 @@ let analyze_cmd =
     Term.(
       const run $ file_arg $ budgeted_analysis_arg $ roots_arg $ list_arg
       $ dot_arg $ ir_arg $ sat_arg $ allow_degraded_arg $ format_arg $ trace_arg
-      $ trace_jsonl_arg $ timings_arg $ no_timings_arg $ snapshot_arg
-      $ resume_from_arg)
+      $ timings_arg $ no_timings_arg $ snapshot_arg $ resume_from_arg)
 
 (* ------------------------------- compare ------------------------------ *)
 
@@ -620,12 +605,12 @@ let fuzz_cmd =
 (* -------------------------------- batch ------------------------------- *)
 
 (* The batch driver: [analyze] over a manifest of jobs with fault
-   isolation.  Each job runs in a forked child by default, so a crash (or
-   the per-job watchdog's SIGKILL) is contained to a per-job error record
-   instead of taking the batch down; transient I/O errors retry with
-   exponential backoff; successful results can be cached by content hash;
-   every completed job is journaled so an interrupted batch re-run with
-   [--resume] skips finished work and produces the same summary. *)
+   isolation.  Each job runs in a forked child, so a crash (or the
+   per-job watchdog's SIGKILL) is contained to a per-job error record
+   instead of taking the batch down; successful results can be cached by
+   content hash; every completed job is journaled so an interrupted
+   batch re-run with [--resume] skips finished work and produces the
+   same summary. *)
 
 let batch_schema_version = 1
 
@@ -682,7 +667,7 @@ type job_record = {
   r_index : int;
   r_path : string;
   r_result : job_result;
-  r_attempts : int;  (** executions, 0 for a cache hit *)
+  r_attempts : int;  (** 1 for a run, 0 for a cache hit *)
   r_cache : string;  (** ["hit" | "miss" | "off"] *)
 }
 
@@ -741,9 +726,9 @@ let read_journal path =
                 | _ -> None))
         (String.split_on_char '\n' contents)
 
-(** One in-process job execution.  The facade's guard means every failure
-    — unreadable file, compile error, bad root, internal exception —
-    comes back as a typed error, never an escape. *)
+(** One job, as a batch worker runs it.  The facade's guard means every
+    failure — unreadable file, compile error, bad root, internal
+    exception — comes back as a typed error, never an escape. *)
 let execute_job ~config ~roots path =
   let t0 = Unix.gettimeofday () in
   let wall_us () =
@@ -807,13 +792,17 @@ let execute_isolated ~timeout_per_job run =
          handlers and buffered channels, and must not flush or run them *)
       Unix._exit 0
   | pid ->
+      (* a killed worker can leave the temp file of its atomic write *)
+      let remove_result_files () =
+        ignore (C.Io.unlink result_file);
+        ignore (C.Io.unlink (C.Io.temp_path result_file ~pid))
+      in
       let rec wait () =
         match Unix.waitpid [ Unix.WNOHANG ] pid with
         | 0, _ when !batch_interrupted <> None ->
             Unix.kill pid Sys.sigkill;
             ignore (Unix.waitpid [] pid);
-            (try Sys.remove result_file with Sys_error _ -> ());
-            (try Sys.remove (result_file ^ ".tmp") with Sys_error _ -> ());
+            remove_result_files ();
             raise Batch_interrupted
         | 0, _ -> (
             (* elapsed-vs-limit, with the delta clamped at zero: a
@@ -864,9 +853,7 @@ let execute_isolated ~timeout_per_job run =
                     | Some r -> r
                     | None -> failure "crash" "worker wrote a malformed result")))
       in
-      (try Sys.remove result_file with Sys_error _ -> ());
-      (* a watchdog-killed worker can leave its tmp file behind *)
-      (try Sys.remove (result_file ^ ".tmp") with Sys_error _ -> ());
+      remove_result_files ();
       r
 
 (** A manifest is a directory (all [*.mj] inside, sorted) or a file of
@@ -891,8 +878,8 @@ let load_manifest path =
            else l)
 
 let batch_cmd =
-  let run manifest config roots allow_degraded timeout_per_job retries
-      cache_dir journal resume quarantine no_isolate no_timings out =
+  let run manifest config roots allow_degraded timeout_per_job cache_dir
+      journal resume quarantine no_timings out =
     let timings = not no_timings in
     if resume && journal = None then begin
       Format.eprintf "error: --resume needs --journal@.";
@@ -966,22 +953,10 @@ let batch_cmd =
             r_cache = "hit";
           }
       | None ->
-          let run_once () =
-            if no_isolate then execute_job ~config ~roots path
-            else
-              execute_isolated ~timeout_per_job (fun () ->
-                  execute_job ~config ~roots path)
+          let res =
+            execute_isolated ~timeout_per_job (fun () ->
+                execute_job ~config ~roots path)
           in
-          let rec attempt n =
-            let res = run_once () in
-            if res.b_error_kind = Some "io_error" && n < retries then begin
-              (* transient I/O: back off exponentially, then retry *)
-              Unix.sleepf (0.05 *. (2. ** float_of_int n));
-              attempt (n + 1)
-            end
-            else (res, n + 1)
-          in
-          let res, attempts = attempt 0 in
           (match (cache, cache_key, res.b_status) with
           | Some c, Some k, ("ok" | "degraded") ->
               (* best-effort: a failed store must not fail the job *)
@@ -1010,7 +985,7 @@ let batch_cmd =
             r_index = i;
             r_path = path;
             r_result = res;
-            r_attempts = attempts;
+            r_attempts = 1;
             r_cache = (if cache = None then "off" else "miss");
           }
     in
@@ -1124,16 +1099,7 @@ let batch_cmd =
       & info [ "timeout-per-job" ] ~docv:"SECONDS"
           ~doc:
             "Wall-clock watchdog per job; a job past it is SIGKILLed and \
-             recorded as failed (isolated mode only)")
-  in
-  let retries_arg =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "retries" ] ~docv:"N"
-          ~doc:
-            "Retry a job whose failure is a transient I/O error up to N \
-             times, with exponential backoff")
+             recorded as failed")
   in
   let cache_arg =
     Arg.(
@@ -1172,15 +1138,6 @@ let batch_cmd =
             "Copy the input of every crashed, timed-out, or \
              internally-failing job into $(docv) for later triage")
   in
-  let no_isolate_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "no-isolate" ]
-          ~doc:
-            "Run jobs in-process instead of forked workers (faster; no \
-             crash containment or per-job watchdog)")
-  in
   let out_arg =
     Arg.(
       value
@@ -1192,13 +1149,11 @@ let batch_cmd =
     (Cmd.info "batch"
        ~doc:
          "Analyze a manifest of MiniJava programs with per-job fault \
-          isolation, watchdogs, retries, result caching, and a \
-          resumable journal")
+          isolation, watchdogs, result caching, and a resumable journal")
     Term.(
       const run $ manifest_arg $ budgeted_analysis_arg $ roots_arg
-      $ allow_degraded_arg $ timeout_per_job_arg $ retries_arg $ cache_arg
-      $ journal_arg $ resume_arg $ quarantine_arg $ no_isolate_arg
-      $ no_timings_arg $ out_arg)
+      $ allow_degraded_arg $ timeout_per_job_arg $ cache_arg $ journal_arg
+      $ resume_arg $ quarantine_arg $ no_timings_arg $ out_arg)
 
 (* -------------------------------- serve ------------------------------- *)
 
@@ -1542,111 +1497,43 @@ let gen_cmd =
 
 (* ------------------------------- profile ------------------------------ *)
 
-(** Validate a trace document previously written by [--trace] /
-    [--trace-jsonl]: parses it with the integer-only JSON reader and
-    checks the schema version.  Returns a short description, or an error
-    message. *)
-let validate_trace_file path =
-  let contents = F.Frontend.read_file path in
-  let check_doc j =
-    match K.Json.check_schema_version j with
-    | Error msg -> Error msg
-    | Ok v -> Ok v
-  in
-  (* Chrome form: one object with a traceEvents array.  JSONL form: one
-     document per line, schema version on the header line. *)
-  match K.Json.of_string contents with
-  | j -> (
-      match check_doc j with
-      | Error msg -> Error msg
-      | Ok v -> (
-          match K.Json.member "traceEvents" j with
-          | Some (K.Json.Arr evs) ->
-              Ok (Printf.sprintf "chrome trace (schema %d): %d trace events" v (List.length evs))
-          | _ -> Error "chrome trace: missing traceEvents array"))
-  | exception K.Json.Parse_error _ -> (
-      (* not a single document — try JSON-lines *)
-      let lines =
-        List.filter (fun l -> String.trim l <> "") (String.split_on_char '\n' contents)
-      in
-      match lines with
-      | [] -> Error "empty trace file"
-      | header :: rest -> (
-          match K.Json.of_string header with
-          | exception K.Json.Parse_error msg -> Error ("bad header line: " ^ msg)
-          | h -> (
-              match check_doc h with
-              | Error msg -> Error msg
-              | Ok v -> (
-                  try
-                    List.iter (fun l -> ignore (K.Json.of_string l)) rest;
-                    Ok
-                      (Printf.sprintf "jsonl trace (schema %d): %d lines" v
-                         (1 + List.length rest))
-                  with K.Json.Parse_error msg -> Error ("bad trace line: " ^ msg)))))
-
 let profile_cmd =
-  let run file config roots top from_trace =
-    match from_trace with
-    | Some path -> (
-        match validate_trace_file path with
-        | Ok desc -> Format.printf "%s: valid %s@." path desc
-        | Error msg ->
-            Format.eprintf "error: %s: %s@." path msg;
-            exit exit_input_error)
-    | None -> (
-        match file with
-        | None ->
-            prerr_endline "error: profile needs FILE.mj (or --from-trace)";
-            exit exit_input_error
-        | Some file ->
-            let trace = C.Trace.create ~timers:true ~events:true () in
-            let prog = load_program ~trace file in
-            let roots = roots_of ~format:`Text prog roots in
-            let s =
-              ok_or_fail ~format:`Text
-                (Api.analyze_program ~config ~trace prog ~roots)
-            in
-            let name_of id = Program.qualified_name prog (Ids.Meth.of_int id) in
-            Format.printf "analysis: %s (%d reachable methods)@.@."
-              (C.Config.name config)
-              s.Api.metrics.C.Metrics.reachable_methods;
-            Format.printf "%a@.%a@." C.Trace.pp_phases trace C.Trace.pp_counters trace;
-            let take n l = List.filteri (fun i _ -> i < n) l in
-            Format.printf "@.event kinds:@.";
-            List.iter
-              (fun (kind, n) -> Format.printf "  %-12s %8d@." kind n)
-              (C.Trace.by_kind trace);
-            Format.printf "@.hot methods (top %d by solver events):@." top;
-            List.iter
-              (fun (id, n) -> Format.printf "  %-40s %8d@." (name_of id) n)
-              (take top (C.Trace.by_meth trace));
-            Format.printf "@.hot flows (top %d by solver events):@." top;
-            List.iter
-              (fun (id, n) -> Format.printf "  flow %-8d %8d@." id n)
-              (take top (C.Trace.by_flow trace));
-            if C.Trace.dropped_events trace > 0 then
-              Format.printf "@.(%d events dropped past the buffer cap)@."
-                (C.Trace.dropped_events trace))
-  in
-  let file_opt =
-    Arg.(value & pos 0 (some file) None & info [] ~docv:"FILE.mj" ~doc:"MiniJava source file (omit with --from-trace)")
+  let run file config roots top =
+    let trace = C.Trace.create ~timers:true ~events:true () in
+    let prog = load_program ~trace file in
+    let roots = roots_of ~format:`Text prog roots in
+    let s =
+      ok_or_fail ~format:`Text (Api.analyze_program ~config ~trace prog ~roots)
+    in
+    let name_of id = Program.qualified_name prog (Ids.Meth.of_int id) in
+    Format.printf "analysis: %s (%d reachable methods)@.@."
+      (C.Config.name config)
+      s.Api.metrics.C.Metrics.reachable_methods;
+    Format.printf "%a@.%a@." C.Trace.pp_phases trace C.Trace.pp_counters trace;
+    let take n l = List.filteri (fun i _ -> i < n) l in
+    Format.printf "@.event kinds:@.";
+    List.iter
+      (fun (kind, n) -> Format.printf "  %-12s %8d@." kind n)
+      (C.Trace.by_kind trace);
+    Format.printf "@.hot methods (top %d by solver events):@." top;
+    List.iter
+      (fun (id, n) -> Format.printf "  %-40s %8d@." (name_of id) n)
+      (take top (C.Trace.by_meth trace));
+    Format.printf "@.hot flows (top %d by solver events):@." top;
+    List.iter
+      (fun (id, n) -> Format.printf "  flow %-8d %8d@." id n)
+      (take top (C.Trace.by_flow trace));
+    if C.Trace.dropped_events trace > 0 then
+      Format.printf "@.(%d events dropped past the buffer cap)@."
+        (C.Trace.dropped_events trace)
   in
   let top_arg =
     Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc:"How many hot methods/flows to list")
   in
-  let from_trace_arg =
-    Arg.(
-      value
-      & opt (some file) None
-      & info [ "from-trace" ] ~docv:"TRACE"
-          ~doc:"Validate and summarize a previously written trace file (Chrome or JSONL) instead of running an analysis")
-  in
   Cmd.v
     (Cmd.info "profile"
        ~doc:"Run a fully traced analysis and print phase timings, counters, and top-N hot methods/flows")
-    Term.(
-      const run $ file_opt $ analysis_arg $ roots_arg $ top_arg $ from_trace_arg)
+    Term.(const run $ file_arg $ analysis_arg $ roots_arg $ top_arg)
 
 let bench_list_cmd =
   let run () =

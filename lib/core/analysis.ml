@@ -47,15 +47,15 @@ let run ?(config = Config.skipflow) ?random_order ?on_budget ?mode ?trace
     replaces the snapshotted budget; with neither a new budget nor
     [on_budget:`Pause] the resumed run would degrade at the very cap that
     paused it. *)
-let resume ?random_order ?on_budget ?budget ?trace bytes =
+let resume ?on_budget ?budget ?trace bytes =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let t0 = Sys.time () in
   match Engine.of_snapshot_bytes ~trace ?budget bytes with
   | Error _ as e -> e
   | Ok engine ->
       Ok
-        (finish ?random_order ?on_budget ~config:(Engine.config_of engine)
-           ~trace ~t0 engine)
+        (finish ?on_budget ~config:(Engine.config_of engine) ~trace ~t0
+           engine)
 
 (** [rerun engine] drives an already-constructed engine (back) to its
     fixed point and recomputes metrics — the incremental-analysis path: a
@@ -63,13 +63,12 @@ let resume ?random_order ?on_budget ?budget ?trace bytes =
     from the new boundary flows only, and monotonicity guarantees the
     resulting fixed point is the one a from-scratch solve over the grown
     root set would reach. *)
-let rerun ?random_order ?on_budget ?trace engine =
+let rerun ?on_budget ?trace engine =
   let trace =
     match trace with Some tr -> tr | None -> Engine.trace_of engine
   in
   let t0 = Sys.time () in
-  finish ?random_order ?on_budget ~config:(Engine.config_of engine) ~trace ~t0
-    engine
+  finish ?on_budget ~config:(Engine.config_of engine) ~trace ~t0 engine
 
 (** Convenience: resolve root methods by ["Class.method"] qualified names. *)
 let roots_by_name (prog : Program.t) names =

@@ -41,7 +41,6 @@ val run :
     [`Pause] returns with [result.outcome = Paused snapshot] instead. *)
 
 val rerun :
-  ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?trace:Trace.t ->
   Engine.t ->
@@ -55,7 +54,6 @@ val rerun :
     the serve tests).  [trace] defaults to the engine's own trace. *)
 
 val resume :
-  ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?budget:Budget.t ->
   ?trace:Trace.t ->

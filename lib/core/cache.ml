@@ -26,16 +26,7 @@ let quarantine_dir t = Filename.concat t.dir "quarantine"
     them forever.  Sweep any old enough that no live writer can still
     own them; the age threshold protects a concurrent store racing in
     another process. *)
-let tmp_marker = entry_suffix ^ ".tmp."
-
 let stale_tmp_age_s = 600.0
-
-let is_tmp_name name =
-  let n = String.length name and m = String.length tmp_marker in
-  let rec scan i =
-    i + m <= n && (String.sub name i m = tmp_marker || scan (i + 1))
-  in
-  scan 0
 
 let sweep_stale_tmp dir =
   match Sys.readdir dir with
@@ -44,7 +35,7 @@ let sweep_stale_tmp dir =
       let now = Unix.gettimeofday () in
       Array.iter
         (fun name ->
-          if is_tmp_name name then begin
+          if Io.is_temp_name name then begin
             let p = Filename.concat dir name in
             let stale =
               match Unix.stat p with

@@ -19,7 +19,7 @@
 
 (* ----------------------------- durability ----------------------------- *)
 
-type durability = D_none | D_flush | D_fsync
+type durability = D_flush | D_fsync
 
 let level = ref D_flush
 let set_durability d = level := d
@@ -398,8 +398,19 @@ let rec mkdir_p_exn path =
 let mkdir_p path =
   run_guarded ~op:"mkdir" ~path ~on_failure:ignore (fun () -> mkdir_p_exn path)
 
+let temp_path path ~pid = Printf.sprintf "%s.tmp.%d" path pid
+
+let is_temp_name name =
+  match String.rindex_opt name '.' with
+  | None -> false
+  | Some i ->
+      let pid = String.sub name (i + 1) (String.length name - i - 1) in
+      pid <> ""
+      && String.for_all (fun c -> c >= '0' && c <= '9') pid
+      && Filename.check_suffix (String.sub name 0 i) ".tmp"
+
 let write_file_atomic ~path data =
-  let tmp = Printf.sprintf "%s.tmp.%d" path (Unix.getpid ()) in
+  let tmp = temp_path path ~pid:(Unix.getpid ()) in
   let fd = ref None in
   let cleanup () =
     (match !fd with
@@ -430,7 +441,6 @@ let write_file_atomic ~path data =
 type appender = {
   ap_path : string;
   ap_fd : Unix.file_descr;
-  ap_buf : Buffer.t;  (** user-space buffer, used only at [D_none] *)
   mutable ap_closed : bool;
 }
 
@@ -443,42 +453,20 @@ let open_append path =
               [ Unix.O_WRONLY; Unix.O_APPEND; Unix.O_CREAT; Unix.O_CLOEXEC ]
               0o644)
       in
-      { ap_path = path; ap_fd = fd; ap_buf = Buffer.create 256; ap_closed = false })
-
-let drain_buffer ap =
-  if Buffer.length ap.ap_buf > 0 then begin
-    let data = Buffer.contents ap.ap_buf in
-    Buffer.clear ap.ap_buf;
-    write_all ap.ap_fd ap.ap_path data
-  end
+      { ap_path = path; ap_fd = fd; ap_closed = false })
 
 let append_line ap line =
   if ap.ap_closed then
     Error { io_op = "append"; io_path = ap.ap_path; io_message = "closed" }
   else
     run_guarded ~op:"append" ~path:ap.ap_path ~on_failure:ignore (fun () ->
-        (match !level with
-        | D_none ->
-            Buffer.add_string ap.ap_buf line;
-            Buffer.add_char ap.ap_buf '\n'
-        | D_flush -> write_all ap.ap_fd ap.ap_path (line ^ "\n")
-        | D_fsync ->
-            write_all ap.ap_fd ap.ap_path (line ^ "\n");
-            fsync_fd ~path:ap.ap_path ap.ap_fd);
+        write_all ap.ap_fd ap.ap_path (line ^ "\n");
+        if !level = D_fsync then fsync_fd ~path:ap.ap_path ap.ap_fd;
         incr s_appends)
-
-let flush_append ap =
-  if ap.ap_closed then Ok ()
-  else
-    run_guarded ~op:"flush" ~path:ap.ap_path ~on_failure:ignore (fun () ->
-        drain_buffer ap;
-        if !level = D_fsync then fsync_fd ~path:ap.ap_path ap.ap_fd)
 
 let close_append ap =
   if not ap.ap_closed then begin
     ap.ap_closed <- true;
-    (try drain_buffer ap
-     with Unix.Unix_error _ | Sys_error _ -> ());
     try Unix.close ap.ap_fd with Unix.Unix_error _ -> ()
   end
 

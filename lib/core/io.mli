@@ -10,12 +10,11 @@
       temp file unlinked on {e every} failure path, so no error can leak
       a stray [.tmp.*] or a torn destination;
     - {b configurable durability}: a process-wide level chosen at the
-      CLI ([--durability none|flush|fsync]) decides whether an
-      operation merely hands bytes to the kernel ([flush], the default
-      — byte-identical behavior to every release before this layer
-      existed), also [fsync]s the file and its parent directory before
-      reporting success ([fsync]), or buffers in user space until close
-      ([none], for throwaway scratch work);
+      CLI ([--durability flush|fsync]) decides whether an operation
+      merely hands bytes to the kernel ([flush], the default —
+      byte-identical behavior to every release before this layer
+      existed) or also [fsync]s the file and its parent directory before
+      reporting success ([fsync]);
     - {b deterministic fault injection}: a seeded {!plan} can make any
       operation fail with EIO/ENOSPC, suffer an extra EINTR or a short
       write (which the retry machinery must absorb), tear a rename, or
@@ -29,7 +28,6 @@
 (* ----------------------------- durability ----------------------------- *)
 
 type durability =
-  | D_none  (** buffer in user space; bytes may sit unflushed until close *)
   | D_flush
       (** every operation completes its [write(2)]s before reporting
           success; no [fsync].  The default, matching the pre-layer
@@ -146,13 +144,23 @@ val read_file : string -> (string, error) result
     [io_message] is the rendered [ENOENT] — callers that treat absence
     as a miss match on the result, not on an exception. *)
 
+val temp_path : string -> pid:int -> string
+(** [path ^ ".tmp.<pid>"]: the temp file {!write_file_atomic} writes in
+    process [pid] before renaming it over [path].  A writer killed
+    between the two leaves it behind. *)
+
+val is_temp_name : string -> bool
+(** Whether a file name has {!temp_path}'s shape ([<name>.tmp.<digits>]):
+    what directory sweeps remove as a crashed writer's leftover. *)
+
 val write_file_atomic : path:string -> string -> (unit, error) result
-(** Write bytes to [path ^ ".tmp.<pid>"], honor the durability level
-    ([D_fsync]: fsync file, then rename, then fsync the parent
+(** Write bytes to this process's {!temp_path}, honor the durability
+    level ([D_fsync]: fsync file, then rename, then fsync the parent
     directory), and rename over [path].  On {e any} failure the temp
-    file is closed and unlinked before the error is returned: no crash
-    or fault can leak it, and [path] is either its old content or the
-    complete new content, never a mixture. *)
+    file is closed and unlinked before the error is returned: no fault
+    or {!Crash_point} can leak it (only a process killed outright can),
+    and [path] is either its old content or the complete new content,
+    never a mixture. *)
 
 val rename : src:string -> dst:string -> (unit, error) result
 val unlink : string -> (unit, error) result
@@ -168,8 +176,7 @@ val fsync_dir : string -> unit
 
 (** An append-only line sink for journals.  Writes are raw [write(2)]
     on an [O_APPEND] descriptor (one line per call, so a crashed writer
-    tears at most the final line); [D_fsync] syncs after every line,
-    [D_none] buffers in user space until {!flush_append}/{!close_append}. *)
+    tears at most the final line); [D_fsync] syncs after every line. *)
 type appender
 
 val open_append : string -> (appender, error) result
@@ -179,6 +186,5 @@ val open_append : string -> (appender, error) result
 val append_line : appender -> string -> (unit, error) result
 (** Writes [line ^ "\n"] and makes it as durable as the level demands. *)
 
-val flush_append : appender -> (unit, error) result
 val close_append : appender -> unit
-(** Flush and close; errors are swallowed (idempotent). *)
+(** Close; errors are swallowed (idempotent). *)

@@ -2,14 +2,7 @@
     thin, exception-catching composition of {!Frontend},
     {!Skipflow_core.Analysis} and {!Skipflow_core.Trace}. *)
 
-module Config = Skipflow_core.Config
-module Trace = Skipflow_core.Trace
-module Engine = Skipflow_core.Engine
-module Metrics = Skipflow_core.Metrics
-module Analysis = Skipflow_core.Analysis
-module Budget = Skipflow_core.Budget
-module Report = Skipflow_core.Report
-module Io = Skipflow_core.Io
+open Skipflow_core
 module Frontend = Skipflow_frontend.Frontend
 module Diag = Skipflow_frontend.Diag
 
@@ -118,24 +111,22 @@ let summary_of_result ~trace ~w0 ~c0 (r : Analysis.result) =
     cpu_s = Float.max 0.0 (Sys.time () -. c0);
   }
 
-let analyze_program ?config ?random_order ?on_budget ?trace prog ~roots =
+let analyze_program ?config ?on_budget ?trace prog ~roots =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   guard (fun () ->
       let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-      let r =
-        Analysis.run ?config ?random_order ?on_budget ~trace prog ~roots
-      in
+      let r = Analysis.run ?config ?on_budget ~trace prog ~roots in
       Ok (summary_of_result ~trace ~w0 ~c0 r))
 
-let resume_snapshot ?budget ?random_order ?on_budget ?trace bytes =
+let resume_snapshot ?budget ?on_budget ?trace bytes =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   guard (fun () ->
       let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-      match Analysis.resume ?budget ?random_order ?on_budget ~trace bytes with
+      match Analysis.resume ?budget ?on_budget ~trace bytes with
       | Error msg -> Error (Internal_error msg)
       | Ok r -> Ok (summary_of_result ~trace ~w0 ~c0 r))
 
-let analyze ?config ?random_order ?on_budget ?trace ~source ~roots () =
+let analyze ?config ?on_budget ?trace ~source ~roots () =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   guard (fun () ->
       let w0 = Unix.gettimeofday () and c0 = Sys.time () in
@@ -146,8 +137,8 @@ let analyze ?config ?random_order ?on_budget ?trace ~source ~roots () =
           | Error e -> Error e
           | Ok root_meths -> (
               match
-                analyze_program ?config ?random_order ?on_budget ~trace
-                  prog ~roots:root_meths
+                analyze_program ?config ?on_budget ~trace prog
+                  ~roots:root_meths
               with
               | Error e -> Error e
               | Ok s ->

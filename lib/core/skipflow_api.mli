@@ -12,17 +12,7 @@
     ([parse]/[typecheck]/[lower]/[roots]/[solve]/[metrics]), the counter
     registry, and the solver event stream (see {!Trace}). *)
 
-(** Re-exports, so consumers need only this library for the common path. *)
-
-module Config = Skipflow_core.Config
-module Trace = Skipflow_core.Trace
-module Engine = Skipflow_core.Engine
-module Metrics = Skipflow_core.Metrics
-module Analysis = Skipflow_core.Analysis
-module Budget = Skipflow_core.Budget
-module Report = Skipflow_core.Report
-module Frontend = Skipflow_frontend.Frontend
-module Diag = Skipflow_frontend.Diag
+open Skipflow_core
 
 (** {1 Inputs} *)
 
@@ -38,7 +28,8 @@ type error =
   | Compile_error of {
       file : string option;  (** the path, when the source was [`File] *)
       src : string;  (** the source text, for caret rendering *)
-      diags : Diag.t list;  (** accumulated, position-carrying diagnostics *)
+      diags : Skipflow_frontend.Diag.t list;
+          (** accumulated, position-carrying diagnostics *)
     }
   | Unknown_root of string  (** a root name did not resolve; the message
                                 names it *)
@@ -109,7 +100,6 @@ val resolve_roots :
 
 val analyze :
   ?config:Config.t ->
-  ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?trace:Trace.t ->
   source:source ->
@@ -126,7 +116,6 @@ val analyze :
 
 val analyze_program :
   ?config:Config.t ->
-  ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?trace:Trace.t ->
   Skipflow_ir.Program.t ->
@@ -137,7 +126,6 @@ val analyze_program :
 
 val resume_snapshot :
   ?budget:Budget.t ->
-  ?random_order:int ->
   ?on_budget:[ `Degrade | `Pause ] ->
   ?trace:Trace.t ->
   string ->

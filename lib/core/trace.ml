@@ -235,37 +235,6 @@ let escape b s =
     s;
   Buffer.add_char b '"'
 
-let jsonl_string ?(meth_name = default_meth_name) t =
-  let b = Buffer.create 4096 in
-  Printf.bprintf b
-    "{\"schema_version\": %d, \"kind\": \"header\", \"format\": \"skipflow-trace\", \"clock\": \"us\", \"events\": %d, \"dropped\": %d}\n"
-    schema_version t.n_events t.n_dropped;
-  List.iter
-    (fun p ->
-      Buffer.add_string b "{\"kind\": \"phase\", \"name\": ";
-      escape b p.ph_name;
-      Printf.bprintf b
-        ", \"depth\": %d, \"wall_us\": %d, \"cpu_us\": %d, \"count\": %d, \"start_us\": %d}\n"
-        p.ph_depth p.ph_wall_us p.ph_cpu_us p.ph_count p.ph_first_start_us)
-    (phases t);
-  List.iter
-    (fun (name, v) ->
-      Buffer.add_string b "{\"kind\": \"counter\", \"name\": ";
-      escape b name;
-      Printf.bprintf b ", \"value\": %d}\n" v)
-    (counters t);
-  List.iter
-    (fun ev ->
-      Printf.bprintf b "{\"kind\": \"event\", \"ev\": ";
-      escape b ev.ev_kind;
-      Printf.bprintf b ", \"ts_us\": %d, \"flow\": %d, \"meth\": " ev.ev_ts_us
-        ev.ev_flow;
-      if ev.ev_meth >= 0 then escape b (meth_name ev.ev_meth)
-      else Buffer.add_string b "null";
-      Printf.bprintf b ", \"meth_id\": %d, \"arg\": %d}\n" ev.ev_meth ev.ev_arg)
-    (events t);
-  Buffer.contents b
-
 (* Chrome trace_event object format.  Perfetto and chrome://tracing accept
    an object with a "traceEvents" array and ignore unknown top-level keys,
    which is where the schema version and the counter dump go.  Phases
@@ -314,12 +283,10 @@ let chrome_string ?(meth_name = default_meth_name) t =
   Buffer.add_string b "\n  ]\n}\n";
   Buffer.contents b
 
-(* Exports go through the durable-IO layer: atomic tmp+rename (a crash
-   mid-export never leaves a half-written trace for tooling to choke
-   on), durability per [--durability], and fault-injection coverage. *)
-let write_jsonl ?meth_name t path =
-  Io.write_file_atomic ~path (jsonl_string ?meth_name t)
-
+(* The export goes through the durable-IO layer: atomic tmp+rename (a
+   crash mid-export never leaves a half-written trace for tooling to
+   choke on), durability per [--durability], and fault-injection
+   coverage. *)
 let write_chrome ?meth_name t path =
   Io.write_file_atomic ~path (chrome_string ?meth_name t)
 

@@ -15,7 +15,7 @@
       Disabled timers cost one boolean test per {!with_phase}.
     - {e event trace} — per-flow solver activity (joins, predicate
       enables, invoke re-resolutions, saturation trips, budget
-      degradations), buffered in memory and written as JSONL or as Chrome
+      degradations), buffered in memory and written as Chrome
       [trace_event] JSON loadable in [chrome://tracing] / Perfetto.
       Disabled events cost one boolean test per emission site.
 
@@ -125,18 +125,13 @@ val by_meth : t -> (int * int) list
 val schema_version : int
 (** Version stamped on every trace document this module writes. *)
 
-val jsonl_string : ?meth_name:(int -> string) -> t -> string
-(** The trace as JSON-lines: a header line carrying [schema_version],
-    then one line per phase, counter, and event. *)
-
 val chrome_string : ?meth_name:(int -> string) -> t -> string
 (** The trace in Chrome [trace_event] format (the object form:
     [{"traceEvents": [...], ...}]): phases as complete ["X"] events,
     solver events as instants ["i"], counters in the top-level metadata. *)
 
-val write_jsonl : ?meth_name:(int -> string) -> t -> string -> (unit, Io.error) result
 val write_chrome : ?meth_name:(int -> string) -> t -> string -> (unit, Io.error) result
-(** Atomic writes through the durable-IO layer; a failed export is
+(** Atomic write through the durable-IO layer; a failed export is
     reported, never raised and never a half-written file. *)
 
 val pp_phases : Format.formatter -> t -> unit

@@ -1,8 +1,9 @@
 (** Frontend driver: MiniJava source text to an analyzable program.
 
-    [compile] runs the full pipeline: lex/parse → type check → lower to the
-    SSA base language (validating every body).  Errors are reported with
-    source positions via the {!Error} exception. *)
+    [compile_diags] runs the full pipeline: lex/parse → type check → lower
+    to the SSA base language (validating every body), accumulating every
+    independent error as a {!Diag.t}.  [compile] and [compile_ast] are the
+    same pipeline with the first diagnostic raised as {!Error}. *)
 
 open Skipflow_ir
 
@@ -20,29 +21,6 @@ type spanner = { span : 'a. string -> (unit -> 'a) -> 'a }
 
 let null_spanner = { span = (fun _ f -> f ()) }
 
-let wrap_errors f =
-  try f () with
-  | Lexer.Error (msg, pos) ->
-      raise (Error (Format.asprintf "%a: lexical error: %s" Lexer.pp_pos pos msg))
-  | Parser.Error (msg, pos) ->
-      raise (Error (Format.asprintf "%a: syntax error: %s" Lexer.pp_pos pos msg))
-  | Typecheck.Error (msg, pos) ->
-      raise (Error (Format.asprintf "%a: type error: %s" Lexer.pp_pos pos msg))
-
-(** [compile src] compiles MiniJava source text to a program with lowered,
-    validated SSA bodies for every method.
-    @raise Error on any lexical, syntax, or type error. *)
-let compile (src : string) : Program.t =
-  wrap_errors (fun () ->
-      let ast = Parser.parse_program src in
-      let tp = Typecheck.check ast in
-      Lower.lower_program tp)
-
-(** [compile_ast ast] type-checks and lowers an already-parsed program
-    (used by the workload generators, which construct ASTs directly). *)
-let compile_ast (ast : Ast.program) : Program.t =
-  wrap_errors (fun () -> Lower.lower_program (Typecheck.check ast))
-
 let read_file path =
   let ic = open_in_bin path in
   let n = in_channel_length ic in
@@ -55,7 +33,7 @@ let read_file path =
     Parse diagnostics are reported alone (type-checking a partial AST
     would cascade spurious errors); a clean parse proceeds to the
     recovering type checker.  [Ok] results are fully lowered and
-    validated, exactly like {!compile}. *)
+    validated. *)
 let compile_diags ?(spanner = null_spanner) (src : string) :
     (Program.t, Diag.t list) result =
   match spanner.span "parse" (fun () -> Parser.parse_program_diags src) with
@@ -64,6 +42,19 @@ let compile_diags ?(spanner = null_spanner) (src : string) :
       match spanner.span "typecheck" (fun () -> Typecheck.check_diags ast) with
       | Stdlib.Error ds -> Stdlib.Error ds
       | Ok tp -> Ok (spanner.span "lower" (fun () -> Lower.lower_program tp)))
+
+let first_error = function
+  | Ok prog -> prog
+  | Stdlib.Error ds -> raise (Error (Format.asprintf "%a" Diag.pp (List.hd ds)))
+
+(** [compile src] is {!compile_diags} with its first diagnostic raised.
+    @raise Error on any lexical, syntax, or type error. *)
+let compile (src : string) : Program.t = first_error (compile_diags src)
+
+(** [compile_ast ast] type-checks and lowers an already-parsed program
+    (used by the workload generators, which construct ASTs directly). *)
+let compile_ast (ast : Ast.program) : Program.t =
+  first_error (Result.map Lower.lower_program (Typecheck.check_diags ast))
 
 (** [main_of prog] finds the conventional entry point: a static method
     named [main], preferring one declared in a class named [Main]. *)

@@ -2,15 +2,16 @@
     (lex/parse → type check → lower to validated SSA). *)
 
 exception Error of string
-(** Any lexical, syntax, or type error, with a source position in the
-    message. *)
+(** The first lexical, syntax, or type error, rendered by {!Diag.pp}
+    ([L:C: syntax error: ...]). *)
 
 val compile : string -> Skipflow_ir.Program.t
-(** Compile source text.  @raise Error on any frontend error. *)
+(** {!compile_diags} without a spanner.  @raise Error with the first
+    diagnostic. *)
 
 val compile_ast : Ast.program -> Skipflow_ir.Program.t
 (** Type-check and lower an already-parsed program (used by the workload
-    generators). *)
+    generators).  @raise Error with the first type diagnostic. *)
 
 val read_file : string -> string
 (** Read a file's entire contents.  @raise Sys_error on I/O failure. *)
@@ -28,7 +29,7 @@ val compile_diags :
   ?spanner:spanner -> string -> (Skipflow_ir.Program.t, Diag.t list) result
 (** Compile with error recovery: accumulate every independent syntax /
     type error instead of stopping at the first.  [Ok] results are fully
-    lowered and validated, exactly like {!compile}. *)
+    lowered and validated. *)
 
 val main_of : Skipflow_ir.Program.t -> Skipflow_ir.Program.meth option
 (** The conventional entry point: a static method named [main], preferring

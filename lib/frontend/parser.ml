@@ -20,9 +20,6 @@ type t = {
   mutable cols : int array;
   mutable head : int;  (** ring index of the current token *)
   mutable count : int;  (** buffered tokens from [head] on, at least 1 *)
-  mutable recovering : bool;
-      (** accumulate diagnostics and resynchronize instead of raising out
-          of the statement / member / class loops *)
   mutable diags : Diag.t list;  (** newest first *)
 }
 
@@ -55,7 +52,6 @@ let of_string src =
       cols = Array.make cap 0;
       head = 0;
       count = 0;
-      recovering = false;
       diags = [];
     }
   in
@@ -438,14 +434,14 @@ let rec parse_block p : Ast.stmt list =
       advance p;
       List.rev acc
     end
-    else if p.recovering && at p Token.EOF then begin
+    else if at p Token.EOF then begin
       record p "expected '}' before end of input" (pos p);
       List.rev acc
     end
     else
       match parse_stmt p with
       | s -> go (s :: acc)
-      | exception Error (msg, epos) when p.recovering ->
+      | exception Error (msg, epos) ->
           record p msg epos;
           sync_stmt p;
           go acc
@@ -625,31 +621,27 @@ let parse_class p : Ast.class_decl =
   eat p Token.LBRACE;
   let fields = ref [] and meths = ref [] in
   let rec go () =
-    if at p Token.RBRACE then advance p
-    else if
-      p.recovering
-      && match peek p with
-         | Token.EOF | Token.KW_CLASS | Token.KW_ABSTRACT -> true
-         | _ -> false
-    then
-      (* unterminated class body: report once and resume at the next
-         class declaration (or stop at end of input) *)
-      record p
-        (Format.asprintf "expected '}' to close class %s but found '%s'" name
-           (Token.to_string (peek p)))
-        (pos p)
-    else
-      match parse_member p with
-      | `Field f ->
-          fields := f :: !fields;
-          go ()
-      | `Meth m ->
-          meths := m :: !meths;
-          go ()
-      | exception Error (msg, epos) when p.recovering ->
-          record p msg epos;
-          sync_member p;
-          go ()
+    match peek p with
+    | Token.RBRACE -> advance p
+    | (Token.EOF | Token.KW_CLASS | Token.KW_ABSTRACT) as t ->
+        (* unterminated class body: report once and resume at the next
+           class declaration (or stop at end of input) *)
+        record p
+          (Format.asprintf "expected '}' to close class %s but found '%s'" name
+             (Token.to_string t))
+          (pos p)
+    | _ -> (
+        match parse_member p with
+        | `Field f ->
+            fields := f :: !fields;
+            go ()
+        | `Meth m ->
+            meths := m :: !meths;
+            go ()
+        | exception Error (msg, epos) ->
+            record p msg epos;
+            sync_member p;
+            go ())
   in
   go ();
   {
@@ -661,26 +653,6 @@ let parse_class p : Ast.class_decl =
     cd_pos = ps;
   }
 
-(** Parse a whole program from source text, stopping at the first error.
-    A lexical error anywhere in the file takes precedence over a syntax
-    error before it, so the rest of the input is lexed before a
-    {!Error} is re-raised. *)
-let parse_program src : Ast.program =
-  let p = of_string src in
-  let rec go acc =
-    match peek p with
-    | Token.EOF -> List.rev acc
-    | Token.KW_CLASS | Token.KW_ABSTRACT -> go (parse_class p :: acc)
-    | t -> errorf p "expected a class declaration but found '%s'" (Token.to_string t)
-  in
-  match go [] with
-  | prog -> prog
-  | exception (Error _ as e) ->
-      while not (Token.equal (Lexer.token p.lx) Token.EOF) do
-        ()
-      done;
-      raise e
-
 (** Parse with error recovery: malformed statements resynchronize at the
     next [;] / [}], malformed members at the next member boundary, and
     malformed classes at the next [class] keyword, so a single run reports
@@ -691,7 +663,6 @@ let parse_program src : Ast.program =
 let parse_program_diags src : Ast.program * Diag.t list =
   let parse () =
     let p = of_string src in
-    p.recovering <- true;
     let rec go acc =
       match peek p with
       | Token.EOF -> List.rev acc
@@ -716,3 +687,10 @@ let parse_program_diags src : Ast.program * Diag.t list =
   in
   try parse ()
   with Lexer.Error (msg, epos) -> ([], [ Diag.error ~stage:Diag.Lexical epos "%s" msg ])
+
+(** The first diagnostic of {!parse_program_diags}, raised as {!Error}
+    (a lexical error included); the classes otherwise. *)
+let parse_program src : Ast.program =
+  match parse_program_diags src with
+  | classes, [] -> classes
+  | _, d :: _ -> raise (Error (d.Diag.message, d.Diag.pos))

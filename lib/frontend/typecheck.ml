@@ -522,21 +522,3 @@ let check_diags (cds : Ast.program) : (Tast.tprogram, Diag.t list) result =
       in
       if !diags = [] then Ok { Tast.tp_prog = prog; tp_meths = tmeths }
       else Stdlib.Error (List.rev !diags)
-
-(** Type-check a parsed program, producing the program model and the typed
-    bodies ready for lowering. *)
-let check (cds : Ast.program) : Tast.tprogram =
-  let prog = Program.create () in
-  let declared = declare_classes prog cds in
-  let tmeths =
-    List.concat_map
-      (fun (cd : Ast.class_decl) ->
-        let cls = Hashtbl.find declared cd.Ast.cd_name in
-        List.map
-          (fun (md : Ast.meth_decl) ->
-            let m = Option.get (Program.find_meth prog cls md.Ast.md_name) in
-            check_meth prog cls m md)
-          cd.Ast.cd_meths)
-      cds
-  in
-  { Tast.tp_prog = prog; tp_meths = tmeths }

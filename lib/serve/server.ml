@@ -594,20 +594,15 @@ let handle_line t line =
    before the manifest that would have referenced them.  Only one daemon
    owns a state directory, so nothing here can belong to a live writer. *)
 let sweep t dir ~referenced =
-  let is_tmp name =
-    let rec at i =
-      i + 5 <= String.length name && (String.sub name i 5 = ".tmp." || at (i + 1))
-    in
-    at 0
-  in
   let entries d = try Sys.readdir d with Sys_error _ -> [||] in
   Array.iter
-    (fun n -> if is_tmp n then ignore (C.Io.unlink (Filename.concat dir n)))
+    (fun n ->
+      if C.Io.is_temp_name n then ignore (C.Io.unlink (Filename.concat dir n)))
     (entries dir);
   Array.iter
     (fun n ->
       let path = Filename.concat (blob_dir dir) n in
-      if is_tmp n then ignore (C.Io.unlink path)
+      if C.Io.is_temp_name n then ignore (C.Io.unlink path)
       else if Filename.check_suffix n ".blob" then
         let name = Filename.chop_suffix n ".blob" in
         if List.mem name referenced then t.on_disk <- SS.add name t.on_disk

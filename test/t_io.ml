@@ -9,8 +9,11 @@
      rename is caught downstream by the container CRC — every injected
      fault maps to a structured error or a clean recovery, never an
      escaping exception;
-   - all three durability levels produce byte-identical files;
-   - the appender buffers under [D_none] and publishes on flush;
+   - both durability levels produce byte-identical files;
+   - the appender lands every line as it is appended, under both levels;
+   - a writer killed between its temp write and the rename leaves one
+     file behind, named by [Io.temp_path] and recognized by
+     [Io.is_temp_name] (what the directory sweeps match on);
    - injected faults surface at the API boundary as structured
      [Api.Io_error], not exceptions;
    - the crash-point matrix (fork a child, kill it before IO operation
@@ -92,10 +95,8 @@ let test_durability_levels_byte_identical () =
         write_exn path payload;
         read_exn path
       in
-      let none = bytes_at Io.D_none "none" in
       let flush = bytes_at Io.D_flush "flush" in
       let fsync = bytes_at Io.D_fsync "fsync" in
-      Alcotest.(check bool) "none = flush" true (String.equal none flush);
       Alcotest.(check bool) "flush = fsync" true (String.equal flush fsync);
       Alcotest.(check bool) "content survives" true (String.equal flush payload);
       Alcotest.(check (list string)) "no temp droppings" [] (tmp_droppings dir))
@@ -181,7 +182,7 @@ let test_appender_levels () =
   in_temp_dir (fun dir ->
       let prev = Io.durability () in
       Fun.protect ~finally:(fun () -> Io.set_durability prev) @@ fun () ->
-      Io.set_durability Io.D_none;
+      Io.set_durability Io.D_flush;
       let path = Filename.concat dir "sub" ^ "/journal" in
       let ap =
         match Io.open_append path with
@@ -191,12 +192,7 @@ let test_appender_levels () =
       (match Io.append_line ap "one" with
       | Ok () -> ()
       | Error e -> Alcotest.failf "append: %s" (Io.error_message e));
-      Alcotest.(check string)
-        "D_none buffers in user space" "" (read_exn path);
-      (match Io.flush_append ap with
-      | Ok () -> ()
-      | Error e -> Alcotest.failf "flush: %s" (Io.error_message e));
-      Alcotest.(check string) "flush publishes" "one\n" (read_exn path);
+      Alcotest.(check string) "D_flush lands immediately" "one\n" (read_exn path);
       Io.set_durability Io.D_fsync;
       (match Io.append_line ap "two" with
       | Ok () -> ()
@@ -205,6 +201,42 @@ let test_appender_levels () =
         "D_fsync lands immediately" "one\ntwo\n" (read_exn path);
       Io.close_append ap;
       Io.close_append ap (* idempotent *))
+
+(* --------------------------- temp leftovers --------------------------- *)
+
+let test_killed_writer_leaves_temp_name () =
+  in_temp_dir (fun dir ->
+      let prev = Io.durability () in
+      Fun.protect ~finally:(fun () -> Io.set_durability prev) @@ fun () ->
+      Io.set_durability Io.D_flush;
+      let path = Filename.concat dir "f" in
+      (* at [D_flush] the rename is a write's last operation *)
+      let ops =
+        Io.with_plan (Io.plan ~seed:13 ()) (fun () ->
+            write_exn path "old";
+            Io.ops_performed ())
+      in
+      Io.fork_crashing
+        ~plan:(Io.plan ~crash_at:(ops - 1) ~seed:13 ())
+        (fun () -> ignore (Io.write_file_atomic ~path "new"));
+      Alcotest.(check string) "destination untouched" "old" (read_exn path);
+      (match List.filter (( <> ) "f") (Array.to_list (Sys.readdir dir)) with
+      | [ leftover ] ->
+          Alcotest.(check bool)
+            (leftover ^ " is a temp name") true (Io.is_temp_name leftover);
+          Alcotest.(check string) "named by Io.temp_path" leftover
+            (Scanf.sscanf leftover "f.tmp.%d%!" (fun pid ->
+                 Io.temp_path "f" ~pid));
+          Alcotest.(check string) "it holds the complete new bytes" "new"
+            (read_exn (Filename.concat dir leftover))
+      | names ->
+          Alcotest.failf "expected one leftover, found [%s]"
+            (String.concat "; " names));
+      List.iter
+        (fun name ->
+          Alcotest.(check bool) (name ^ " is not a temp name") false
+            (Io.is_temp_name name))
+        [ "f"; "f.tmp"; "f.tmp."; "f.tmp.12x"; "f.json"; "journal.jsonl"; "a.blob" ])
 
 (* ------------------------ crash-point matrix -------------------------- *)
 
@@ -284,8 +316,10 @@ let suite =
         test_torn_rename_detected_by_container;
       Alcotest.test_case "faults surface as structured Api errors" `Quick
         test_api_maps_faults_to_structured_errors;
-      Alcotest.test_case "appender buffers, flushes, and fsyncs" `Quick
+      Alcotest.test_case "appender writes and fsyncs each line" `Quick
         test_appender_levels;
+      Alcotest.test_case "a killed writer leaves a temp-named file" `Quick
+        test_killed_writer_leaves_temp_name;
       Alcotest.test_case "crash-point matrix: snapshot/cache/journal" `Quick
         test_crash_point_matrix;
       Alcotest.test_case "in-process crash points leak nothing" `Quick

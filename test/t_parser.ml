@@ -217,7 +217,7 @@ let test_recovery_member_and_class () =
 
 let test_lexical_error_wins () =
   (* a syntax error on line 2 comes first, but the lexical error on line 3
-     is the single diagnostic, whether parsing recovers or fails fast *)
+     is the single diagnostic, and the error compile raises *)
   let src =
     "class Main {\n  static void main() { int x = 1 }\n  static void g() { int y = 2; # }\n}\n"
   in
@@ -232,7 +232,7 @@ let test_lexical_error_wins () =
   match Skipflow_frontend.Frontend.compile src with
   | _ -> Alcotest.fail "compile accepted a lexically broken program"
   | exception Skipflow_frontend.Frontend.Error msg ->
-      Alcotest.(check string) "fail-fast compile reports the lexical error"
+      Alcotest.(check string) "compile reports the lexical error"
         "3:32: lexical error: unexpected character '#'" msg
 
 let test_clean_parse_no_diags () =
@@ -249,6 +249,45 @@ let test_render_caret () =
   Alcotest.(check bool) "header" true
     (String.length text > 0 && String.sub text 0 5 = "t.mj:");
   Alcotest.(check bool) "caret line" true (String.contains text '^')
+
+(* [Frontend.compile] is [compile_diags] with the first diagnostic
+   raised: on every broken input it says what the CLI says first,
+   unterminated class bodies and blocks included. *)
+let test_compile_raises_first_diag () =
+  let wrap body = Printf.sprintf "class C { var int f; %s }" body in
+  List.iter
+    (fun src ->
+      let expected =
+        match Skipflow_frontend.Frontend.compile_diags src with
+        | Ok _ -> Alcotest.failf "compile_diags accepted %S" src
+        | Error ds -> Format.asprintf "%a" D.pp (List.hd ds)
+      in
+      match Skipflow_frontend.Frontend.compile src with
+      | _ -> Alcotest.failf "compile accepted %S" src
+      | exception Skipflow_frontend.Frontend.Error msg ->
+          Alcotest.(check string) src expected msg)
+    [ (* unterminated class body and blocks *)
+      "class X {";
+      "class X { void m() {";
+      "class X { void m() { int x = 1; ";
+      (* syntax and lexical errors *)
+      "class X { void m() { int x = 1 } }";
+      "42";
+      "class X { void m() { 1 = 2; } }";
+      "class X { void m() { if 1 < 2 { } } }";
+      "class Main {\n  static void main() { int x = 1 }\n  static void g() { int y = 2; # }\n}\n";
+      (* type errors, in declarations and in bodies *)
+      "class A extends B { } class B extends A { }";
+      "class A extends Nope { }";
+      wrap "void m() { x = 1; }";
+      wrap "int m(boolean c) { if (c) { return 1; } }";
+      wrap "void m() { if (1) { } } int n() { return true; }";
+    ];
+  match Skipflow_frontend.Frontend.compile "class X {" with
+  | _ -> Alcotest.fail "compile accepted an unterminated class"
+  | exception Skipflow_frontend.Frontend.Error msg ->
+      Alcotest.(check string) "the CLI's message"
+        "1:10: syntax error: expected '}' to close class X but found '<eof>'" msg
 
 let suite =
   ( "parser",
@@ -272,4 +311,6 @@ let suite =
         test_lexical_error_wins;
       Alcotest.test_case "clean parse has no diagnostics" `Quick test_clean_parse_no_diags;
       Alcotest.test_case "caret rendering" `Quick test_render_caret;
+      Alcotest.test_case "compile raises the first diagnostic" `Quick
+        test_compile_raises_first_diag;
     ] )

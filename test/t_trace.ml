@@ -6,8 +6,9 @@
      counters are identically zero in reference mode);
    - phase spans nest, accumulate on re-entry, and children sum to no
      more than the enclosing span's wall time;
-   - the JSONL trace round-trips through the integer-only JSON parser
-     and the Chrome trace is one valid schema-versioned document;
+   - the Chrome trace is one valid schema-versioned document that the
+     integer-only JSON parser reads back with every buffered event and
+     every phase in it;
    - Skipflow_api.analyze returns typed errors — missing file, parse
      error, bad root — with no exception crossing the boundary. *)
 
@@ -123,52 +124,32 @@ let test_event_cap () =
 
 (* ----- serialization ----- *)
 
-let test_jsonl_roundtrip () =
-  let prog, main = workload () in
-  let s = run_with_trace ~mode:C.Engine.Dedup prog main in
-  let lines =
-    List.filter
-      (fun l -> String.trim l <> "")
-      (String.split_on_char '\n' (C.Trace.jsonl_string s.C.Analysis.trace))
-  in
-  Alcotest.(check bool) "has header + content" true (List.length lines > 3);
-  let docs = List.map K.Json.of_string lines in
-  (match docs with
-  | header :: _ ->
-      (match K.Json.check_schema_version header with
-      | Ok v -> Alcotest.(check int) "header schema version" C.Trace.schema_version v
-      | Error msg -> Alcotest.fail msg)
-  | [] -> Alcotest.fail "empty trace");
-  (* every event line's counters survive the parse *)
-  let n_parsed_events =
-    List.length
-      (List.filter
-         (fun d ->
-           match K.Json.member "kind" d with
-           | Some (K.Json.Str "event") -> true
-           | _ -> false)
-         docs)
-  in
-  Alcotest.(check int) "all events round-trip"
-    (C.Trace.event_count s.C.Analysis.trace)
-    n_parsed_events
-
 let test_chrome_valid () =
   let prog, main = workload () in
   let s = run_with_trace ~mode:C.Engine.Dedup prog main in
-  let doc = K.Json.of_string (C.Trace.chrome_string s.C.Analysis.trace) in
+  let trace = s.C.Analysis.trace in
+  let doc = K.Json.of_string (C.Trace.chrome_string trace) in
   (match K.Json.check_schema_version doc with
   | Ok _ -> ()
   | Error msg -> Alcotest.fail msg);
   match K.Json.member "traceEvents" doc with
   | Some (K.Json.Arr evs) ->
       Alcotest.(check bool) "has trace events" true (evs <> []);
-      List.iter
-        (fun ev ->
-          match K.Json.member "ph" ev with
-          | Some (K.Json.Str ("X" | "i")) -> ()
-          | _ -> Alcotest.fail "trace event is not a complete span or instant")
-        evs
+      let phs =
+        List.map
+          (fun ev ->
+            match K.Json.member "ph" ev with
+            | Some (K.Json.Str ("X" | "i" as ph)) -> ph
+            | _ -> Alcotest.fail "trace event is not a complete span or instant")
+          evs
+      in
+      let count ph = List.length (List.filter (String.equal ph) phs) in
+      (* every buffered event and every phase survives serialization *)
+      Alcotest.(check int) "one instant per buffered event"
+        (C.Trace.event_count trace) (count "i");
+      Alcotest.(check int) "one span per phase"
+        (List.length (C.Trace.phases trace))
+        (count "X")
   | _ -> Alcotest.fail "missing traceEvents array"
 
 let test_schema_rejection () =
@@ -230,8 +211,6 @@ let suite =
       Alcotest.test_case "timers off records nothing" `Quick test_phases_timed_off;
       Alcotest.test_case "analysis records its phases" `Quick test_analysis_phases;
       Alcotest.test_case "event buffer cap" `Quick test_event_cap;
-      Alcotest.test_case "JSONL round-trips through the parser" `Quick
-        test_jsonl_roundtrip;
       Alcotest.test_case "chrome trace is valid and versioned" `Quick
         test_chrome_valid;
       Alcotest.test_case "unknown schema versions rejected" `Quick
