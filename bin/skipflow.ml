@@ -1309,16 +1309,14 @@ let supervise ~max_restarts ~log serve_child =
   loop ~restarts:0 ~used:0
 
 let serve_cmd =
-  let run file config roots state resume socket deadline_ms snapshot_every
-      memo_entries no_timings max_heap_mb supervise_flag max_restarts =
+  let run file config roots state resume socket memo_entries no_timings
+      max_heap_mb supervise_flag max_restarts =
     let serve_once ~resume ~restarts =
       let cfg =
         {
           S.Server.sv_config = config;
           sv_roots = roots;
           sv_state_dir = state;
-          sv_snapshot_every = snapshot_every;
-          sv_deadline_ms = deadline_ms;
           sv_memo_entries = memo_entries;
           sv_timings = not no_timings;
           sv_max_heap_mb = max_heap_mb;
@@ -1390,24 +1388,6 @@ let serve_cmd =
             "Serve on a Unix domain socket (one client at a time) instead \
              of stdin/stdout")
   in
-  let deadline_arg =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "deadline-ms" ] ~docv:"MS"
-          ~doc:
-            "Default per-request deadline; a request past it gets a \
-             structured deadline_exceeded error and the resident state \
-             rolls back (requests can override with their own \
-             $(i,deadline_ms) field)")
-  in
-  let snapshot_every_arg =
-    Arg.(
-      value
-      & opt int S.Server.default_cfg.S.Server.sv_snapshot_every
-      & info [ "snapshot-every" ] ~docv:"N"
-          ~doc:"Snapshot the resident state every N mutations (default 1)")
-  in
   let memo_entries_arg =
     Arg.(
       value
@@ -1424,7 +1404,7 @@ let serve_cmd =
       & info [ "max-heap-mb" ] ~docv:"MB"
           ~doc:
             "Memory ceiling: past it the daemon degrades gracefully — \
-             drops the memo and buffered trace events, compacts the \
+             drops the memo and its blob-name cache, compacts the \
              heap, and if still over sheds mutating requests as \
              overloaded with a 50ms retry_after_ms hint (health and \
              shutdown always answer) — instead of meeting the OOM killer")
@@ -1461,9 +1441,8 @@ let serve_cmd =
           graceful memory ceiling that sheds load")
     Term.(
       const run $ file_opt $ budgeted_analysis_arg $ roots_arg $ state_arg
-      $ resume_arg $ socket_arg $ deadline_arg $ snapshot_every_arg
-      $ memo_entries_arg $ no_timings_arg $ max_heap_arg $ supervise_arg
-      $ max_restarts_arg)
+      $ resume_arg $ socket_arg $ memo_entries_arg $ no_timings_arg
+      $ max_heap_arg $ supervise_arg $ max_restarts_arg)
 
 (* --------------------------------- gen -------------------------------- *)
 

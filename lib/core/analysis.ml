@@ -8,7 +8,7 @@ type result = {
   config : Config.t;
   engine : Engine.t;
   outcome : Engine.outcome;
-      (** [Paused snapshot] only when [run] was called with
+      (** [Paused trip] only when [run] was called with
           [on_budget:`Pause] and a budget cap tripped *)
   metrics : Metrics.t;
   trace : Trace.t;
@@ -41,9 +41,9 @@ let run ?(config = Config.skipflow) ?random_order ?on_budget ?mode ?trace
       List.iter (fun m -> Engine.add_root engine m) roots);
   finish ?random_order ?on_budget ~config ~trace ~t0 engine
 
-(** [resume bytes] continues a paused solve from a [Paused] payload (or
-    {!Engine.snapshot_bytes} output) to the fixed point the uninterrupted
-    run would have reached.  [budget] (commonly {!Budget.unlimited})
+(** [resume bytes] continues a paused solve from the paused engine's
+    {!Engine.snapshot_bytes} to the fixed point the uninterrupted run
+    would have reached.  [budget] (commonly {!Budget.unlimited})
     replaces the snapshotted budget; with neither a new budget nor
     [on_budget:`Pause] the resumed run would degrade at the very cap that
     paused it. *)

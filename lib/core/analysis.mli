@@ -8,8 +8,9 @@ type result = {
       (** the solved engine: reachable methods, per-flow value states *)
   outcome : Engine.outcome;
       (** {!Engine.Paused} only under [on_budget:`Pause] when a budget
-          cap tripped; pass the payload to {!resume} (optionally after a
-          {!Snapshot.write} round trip) to finish the solve *)
+          cap tripped; pass the engine's {!Engine.snapshot_bytes} to
+          {!resume} (optionally after a {!Snapshot.write} round trip) to
+          finish the solve *)
   metrics : Metrics.t;
   trace : Trace.t;
       (** the run's counters, and — when requested at creation — its
@@ -38,7 +39,7 @@ val run :
     into it, and with events the engine streams solver activity.
     [on_budget] selects the budget-trip reaction (see {!Engine.run}):
     [`Degrade] (default) finishes at a sound coarser fixed point;
-    [`Pause] returns with [result.outcome = Paused snapshot] instead. *)
+    [`Pause] returns with [result.outcome = Paused trip] instead. *)
 
 val rerun :
   ?on_budget:[ `Degrade | `Pause ] ->
@@ -59,12 +60,12 @@ val resume :
   ?trace:Trace.t ->
   string ->
   (result, string) Stdlib.result
-(** Continue a paused solve from a {!Engine.Paused} payload (or
-    {!Engine.snapshot_bytes} output).  [budget] — commonly
-    {!Budget.unlimited} — replaces the snapshotted budget so the resumed
-    run can finish; metrics are recomputed on the resumed engine, whose
-    fixed point is identical, flow by flow, to an uninterrupted run's.
-    [Error msg] when the payload cannot be decoded. *)
+(** Continue a paused solve from the paused engine's
+    {!Engine.snapshot_bytes}.  [budget] — commonly {!Budget.unlimited} —
+    replaces the snapshotted budget so the resumed run can finish;
+    metrics are recomputed on the resumed engine, whose fixed point is
+    identical, flow by flow, to an uninterrupted run's.  [Error msg]
+    when the bytes cannot be decoded. *)
 
 val roots_by_name :
   Skipflow_ir.Program.t ->

@@ -15,8 +15,8 @@
     the flow id only if the join changed something and the flow is not
     already pending (scheduling bits live on {!Flow.t}); an enable emit on
     an already-enabled flow and a notify emit on an already-queued
-    observer collapse to no-ops.  The queue itself is {!Worklist}: an
-    int-indexed ring buffer of flow ids, not boxed task values.  The
+    observer collapse to no-ops.  The queue itself is {!Worklist}: a ring
+    buffer of the pending flows, not boxed task values.  The
     {!Reference} mode retains the original boxed-FIFO drain (one task per
     emit, joins at processing time) — the fixed points of the two modes
     are bit-identical (all transfer functions are monotone over the
@@ -44,9 +44,9 @@ type rtask =
   | RNotify of Flow.t
 
 (** How {!run} ended: at the fixed point, or — in pause-on-budget mode —
-    suspended at a task boundary with the whole solver state serialized
-    ({!of_snapshot_bytes} continues to the {e identical} fixed point). *)
-type outcome = Completed | Paused of string
+    suspended at a task boundary by the given cap ({!snapshot_bytes} +
+    {!of_snapshot_bytes} continue to the {e identical} fixed point). *)
+type outcome = Completed | Paused of Budget.trip
 
 (** Work and graph-growth accounting, snapshotted from the engine's
     {!Trace} counter registry by {!stats}.  The record is immutable: the
@@ -124,9 +124,9 @@ type t = {
   mode : mode;
   trace : Trace.t;  (** counter registry + optional timers / event buffer *)
   c : counters;
-  wl : Worklist.t;  (** the deduplicated ring of dirty flow ids *)
+  wl : Worklist.t;  (** the deduplicated ring of dirty flows *)
   rqueue : rtask Queue.t;  (** reference-mode boxed FIFO *)
-  mutable emit : Edges.emit;  (** this engine's scheduling hooks (knot-tied in {!create}) *)
+  mutable emit : Edges.emit;  (** this engine's scheduling hooks (knot-tied in {!thaw}) *)
   graphs : Graph.method_graph Ids.Meth.Tbl.t;
   mutable reachable_order : Program.meth list;  (** reverse discovery order *)
   mutable roots : Ids.Meth.Set.t;  (** methods registered via {!add_root} *)
@@ -152,9 +152,9 @@ type t = {
           the drain and called inside the invoke/field re-resolution loops
           so a single mega-flow cannot overshoot the budget by more than
           one link's worth of work; a no-op outside a run *)
-  mutable pause_pending : bool;
-      (** pause-on-budget mode: a cap tripped; stop at the next task
-          boundary and snapshot instead of degrading *)
+  mutable pause : Budget.trip option;
+      (** pause-on-budget mode: the cap that tripped in this run; stop at
+          the next task boundary instead of degrading *)
   mutable links_at_task : int;
       (** [c_links] value at the current task's start, so the in-task
           probe charges only the links made {e inside} this task toward
@@ -631,52 +631,15 @@ let degrade t (trip : Budget.trip) =
       t.reachable_order
   end
 
-let create ?(mode = Dedup) ?trace prog config =
-  ignore (Program.freeze prog);
-  let wl = Worklist.create () in
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let t =
-    {
-      prog;
-      config;
-      masks = Masks.compute prog;
-      mode;
-      trace;
-      c = register_counters trace;
-      wl;
-      rqueue = Queue.create ();
-      emit = Edges.null_emit;
-      graphs = Ids.Meth.Tbl.create 256;
-      reachable_order = [];
-      roots = Ids.Meth.Set.empty;
-      field_flows = Ids.Field.Tbl.create 64;
-      all_inst = Ids.Class.Tbl.create 32;
-      all_inst_rev = Array.make (Program.num_classes prog) [];
-      all_inst_any = always_on (Flow.All_instantiated Program.null_class) Vstate.empty;
-      instantiated = Typeset.empty;
-      pred_on = always_on Flow.Pred_on (Vstate.const 1);
-      sync_depth = 0;
-      degraded = false;
-      first_trip = None;
-      probe = (fun () -> ());
-      pause_pending = false;
-      links_at_task = 0;
-    }
-  in
-  t.emit <-
-    { Edges.input = emit_input t; enable = emit_enable t; notify = emit_notify t };
-  t
+(* --------------------------- construction ----------------------------- *)
 
-(* --------------------------- checkpointing ---------------------------- *)
-
-(** The marshalable image of a paused engine: every piece of [t] except
-    the trace registry (counters travel as a name/value list), the
+(** The marshalable image of an engine: every piece of [t] except the
+    trace registry (counters travel as a name/value list), the
     worklist/queue containers (pending work travels as the flows / boxed
     tasks themselves, dirty bits intact), and the [emit] closures
-    (re-tied by {!restore}, like {!create} does).  Flow ids are
-    process-global, so the image also records the id counter and the
-    worklist base; {!restore} bumps {!Flow.next_id} so ids minted after a
-    resume never collide with snapshotted ones. *)
+    (re-tied by {!thaw}).  Flow ids are process-global, so the image also
+    records the id counter; {!of_snapshot_bytes} bumps {!Flow.next_id} so
+    ids minted after a resume never collide with snapshotted ones. *)
 type frozen = {
   fz_prog : Program.t;
   fz_config : Config.t;
@@ -693,11 +656,86 @@ type frozen = {
   fz_pending : Flow.t array;  (** worklist contents, queue order *)
   fz_rpending : rtask list;  (** reference-mode queue contents *)
   fz_counters : (string * int) list;
-  fz_wl_base : int;
   fz_next_flow_id : int;
   fz_degraded : bool;
   fz_first_trip : Budget.trip option;
 }
+
+(** The one constructor: {!create}, {!of_snapshot_bytes} and {!clone} all
+    build their engine from an image here.  [wl] is created by the caller,
+    before any flow of the image is minted, so flow ids keep their order. *)
+let thaw ?trace ?budget wl fz =
+  let trace = match trace with Some tr -> tr | None -> Trace.create () in
+  let config =
+    match budget with
+    | None -> fz.fz_config
+    | Some b -> { fz.fz_config with Config.budget = b }
+  in
+  ignore (Program.freeze fz.fz_prog);
+  let t =
+    {
+      prog = fz.fz_prog;
+      config;
+      masks = Masks.compute fz.fz_prog;
+      mode = fz.fz_mode;
+      trace;
+      c = register_counters trace;
+      wl;
+      rqueue = Queue.create ();
+      emit = Edges.null_emit;
+      graphs = fz.fz_graphs;
+      reachable_order = fz.fz_reachable_order;
+      roots = fz.fz_roots;
+      field_flows = fz.fz_field_flows;
+      all_inst = fz.fz_all_inst;
+      all_inst_rev = fz.fz_all_inst_rev;
+      all_inst_any = fz.fz_all_inst_any;
+      instantiated = fz.fz_instantiated;
+      pred_on = fz.fz_pred_on;
+      sync_depth = 0;
+      degraded = fz.fz_degraded;
+      first_trip = fz.fz_first_trip;
+      probe = (fun () -> ());
+      pause = None;
+      links_at_task = 0;
+    }
+  in
+  t.emit <-
+    { Edges.input = emit_input t; enable = emit_enable t; notify = emit_notify t };
+  (* a restored run's counters continue from the snapshotted values *)
+  List.iter
+    (fun (name, v) -> if v <> 0 then Trace.add (Trace.counter trace name) v)
+    fz.fz_counters;
+  (* pending flows still carry their dirty bits; re-ring them in order *)
+  Array.iter (fun f -> Worklist.push t.wl f) fz.fz_pending;
+  List.iter (fun task -> Queue.add task t.rqueue) fz.fz_rpending;
+  t
+
+let create ?(mode = Dedup) ?trace prog config =
+  let wl = Worklist.create () in
+  thaw ?trace wl
+    {
+      fz_prog = prog;
+      fz_config = config;
+      fz_mode = mode;
+      fz_graphs = Ids.Meth.Tbl.create 256;
+      fz_reachable_order = [];
+      fz_roots = Ids.Meth.Set.empty;
+      fz_field_flows = Ids.Field.Tbl.create 64;
+      fz_all_inst = Ids.Class.Tbl.create 32;
+      fz_all_inst_rev = Array.make (Program.num_classes prog) [];
+      fz_all_inst_any = always_on (Flow.All_instantiated Program.null_class) Vstate.empty;
+      fz_instantiated = Typeset.empty;
+      fz_pred_on = always_on Flow.Pred_on (Vstate.const 1);
+      fz_pending = [||];
+      fz_rpending = [];
+      fz_counters = [];
+      fz_next_flow_id = 0;
+      fz_degraded = false;
+      fz_first_trip = None;
+    }
+
+(* --------------------------- checkpointing ---------------------------- *)
 
 let capture t =
   {
@@ -716,7 +754,6 @@ let capture t =
     fz_pending = Worklist.pending t.wl;
     fz_rpending = List.of_seq (Queue.to_seq t.rqueue);
     fz_counters = Trace.counters t.trace;
-    fz_wl_base = Worklist.base t.wl;
     fz_next_flow_id = !Flow.next_id;
     fz_degraded = t.degraded;
     fz_first_trip = t.first_trip;
@@ -728,67 +765,21 @@ let capture t =
     trip.  [frozen] holds no closures (the Marshal invariant). *)
 let snapshot_bytes t = Marshal.to_string (capture t) []
 
-let restore ?trace ?budget fz =
-  (* ids minted after the resume must not collide with restored flows:
-     the worklist side table is indexed by [id - base] *)
-  if !Flow.next_id < fz.fz_next_flow_id then Flow.next_id := fz.fz_next_flow_id;
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let config =
-    match budget with
-    | None -> fz.fz_config
-    | Some b -> { fz.fz_config with Config.budget = b }
-  in
-  ignore (Program.freeze fz.fz_prog);
-  let t =
-    {
-      prog = fz.fz_prog;
-      config;
-      masks = Masks.compute fz.fz_prog;
-      mode = fz.fz_mode;
-      trace;
-      c = register_counters trace;
-      wl = Worklist.create ~base:fz.fz_wl_base ();
-      rqueue = Queue.create ();
-      emit = Edges.null_emit;
-      graphs = fz.fz_graphs;
-      reachable_order = fz.fz_reachable_order;
-      roots = fz.fz_roots;
-      field_flows = fz.fz_field_flows;
-      all_inst = fz.fz_all_inst;
-      all_inst_rev = fz.fz_all_inst_rev;
-      all_inst_any = fz.fz_all_inst_any;
-      instantiated = fz.fz_instantiated;
-      pred_on = fz.fz_pred_on;
-      sync_depth = 0;
-      degraded = fz.fz_degraded;
-      first_trip = fz.fz_first_trip;
-      probe = (fun () -> ());
-      pause_pending = false;
-      links_at_task = 0;
-    }
-  in
-  t.emit <-
-    { Edges.input = emit_input t; enable = emit_enable t; notify = emit_notify t };
-  (* the resumed run's counters continue from the snapshotted values *)
-  List.iter
-    (fun (name, v) -> if v <> 0 then Trace.add (Trace.counter trace name) v)
-    fz.fz_counters;
-  (* pending flows still carry their dirty bits; re-ring them in order *)
-  Array.iter (fun f -> Worklist.push t.wl f) fz.fz_pending;
-  List.iter (fun task -> Queue.add task t.rqueue) fz.fz_rpending;
-  t
-
 let snapshot_kind = "engine-state"
 
-(* v4: [Config.t] lost its [jobs] field along with the parallel solver
-   (the frozen image embeds the config, so its Marshal layout changed);
-   v3 images carry it and are refused as a version mismatch *)
-let snapshot_version = 4
+(* v5: the image lost the worklist base along with the worklist's
+   id-indexed side table; v4 images carry it and are refused as a
+   version mismatch *)
+let snapshot_version = 5
 
 let of_snapshot_bytes ?trace ?budget s =
   match (Marshal.from_string s 0 : frozen) with
   | exception _ -> Error "cannot decode engine snapshot payload"
-  | fz -> Ok (restore ?trace ?budget fz)
+  | fz ->
+      (* flow ids stay unique within the engine: ids minted after the
+         resume start past every restored one *)
+      if !Flow.next_id < fz.fz_next_flow_id then Flow.next_id := fz.fz_next_flow_id;
+      Ok (thaw ?trace ?budget (Worklist.create ()) fz)
 
 let save_snapshot t ~path =
   Snapshot.write ~path ~kind:snapshot_kind ~version:snapshot_version
@@ -871,21 +862,21 @@ let process_rtask t task =
     point.
 
     By default pending work is processed FIFO.  With [random_order:seed]
-    pending entries are picked pseudo-randomly instead — the fixed point
-    must not change (all transfer functions are monotone joins over a
-    finite lattice), which the property-test suite verifies by comparing
-    runs.
+    (in {!Dedup} mode only) pending flows are picked pseudo-randomly
+    instead — the fixed point must not change (all transfer functions are
+    monotone joins over a finite lattice), which the property-test suite
+    verifies by comparing runs.
 
     The run is subject to [t.config.budget].  When a cap trips, the
     reaction is [on_budget]:
 
     - [`Degrade] (default): switch to degradation mode ({!degrade}) and
       finish at a sound but coarser fixed point instead of aborting;
-    - [`Pause]: stop at the next task boundary and return
-      [Paused (snapshot)] — no state is widened, and resuming the
-      snapshot ({!of_snapshot_bytes} + [run]) continues to the
-      {e identical} fixed point, because a fixed point of a monotone
-      chaotic iteration does not depend on where the drain was cut.
+    - [`Pause]: stop at the next task boundary and return [Paused trip]
+      — no state is widened, and resuming the engine ({!snapshot_bytes} +
+      {!of_snapshot_bytes} + [run]) continues to the {e identical} fixed
+      point, because a fixed point of a monotone chaotic iteration does
+      not depend on where the drain was cut.
 
     Budget checks run after every drained entry and, through the in-task
     probe, after every interprocedural link, so even a single task that
@@ -894,6 +885,8 @@ let process_rtask t task =
     stop and the remaining drain runs to its boundary so the final state
     is consistent. *)
 let run ?random_order ?(on_budget = `Degrade) t =
+  if Option.is_some random_order && t.mode = Reference then
+    invalid_arg "Engine.run: random_order needs the Dedup mode";
   let budget = t.config.Config.budget in
   let start = Unix.gettimeofday () in
   (* clamped against backwards clock steps: a negative elapsed time
@@ -903,8 +896,8 @@ let run ?random_order ?(on_budget = `Degrade) t =
     match on_budget with
     | `Degrade -> degrade t trip
     | `Pause ->
-        if not t.pause_pending then begin
-          t.pause_pending <- true;
+        if Option.is_none t.pause then begin
+          t.pause <- Some trip;
           Trace.incr t.c.c_budget_trips;
           if t.first_trip = None then t.first_trip <- Some trip;
           Trace.record_max t.c.c_trip_tasks (Trace.value t.c.c_tasks);
@@ -919,7 +912,7 @@ let run ?random_order ?(on_budget = `Degrade) t =
               ()
         end
   in
-  let live () = (not t.degraded) && not t.pause_pending in
+  let live () = (not t.degraded) && Option.is_none t.pause in
   let step_budget () =
     if live () && not (Budget.is_unlimited budget) then
       match
@@ -948,13 +941,13 @@ let run ?random_order ?(on_budget = `Degrade) t =
   let drain_fifo () =
     match t.mode with
     | Dedup ->
-        while (not t.pause_pending) && not (Worklist.is_empty t.wl) do
+        while Option.is_none t.pause && not (Worklist.is_empty t.wl) do
           process_flow t (Worklist.pop_exn t.wl);
           step_budget ()
         done
     | Reference ->
         let continue_ = ref true in
-        while !continue_ && not t.pause_pending do
+        while !continue_ && Option.is_none t.pause do
           match Queue.take_opt t.rqueue with
           | None -> continue_ := false
           | Some task ->
@@ -963,71 +956,44 @@ let run ?random_order ?(on_budget = `Degrade) t =
         done
   in
   let drain_random seed =
-    (* array-backed bag with swap-remove; deterministic LCG.  In dedup
-       mode the bag holds pending flows (their [wk_pending] bit stays set
-       while bagged, so emits keep merging into them); in reference mode
-       it holds boxed tasks, as the original implementation did. *)
+    (* array-backed bag of pending flows with swap-remove; deterministic
+       LCG.  A bagged flow keeps its [wk_pending] bit, so emits keep
+       merging into it. *)
     let state = ref (seed land 0x3FFFFFFF) in
     let next bound =
       state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
       !state mod bound
     in
-    let swap_drain :
-        'a. 'a array ref -> int ref -> (unit -> unit) -> ('a -> unit) ->
-        ('a -> unit) -> unit =
-     fun bag len refill process reschedule ->
-      refill ();
-      while !len > 0 do
-        let i = next !len in
-        let x = !bag.(i) in
-        !bag.(i) <- !bag.(!len - 1);
-        decr len;
-        process x;
-        step_budget ();
-        if t.pause_pending then begin
-          (* hand the still-bagged entries back to the queue so the
-             snapshot sees them as pending work *)
-          for k = 0 to !len - 1 do
-            reschedule !bag.(k)
-          done;
-          len := 0
-        end
-        else if !len = 0 then refill ()
-      done
-    in
-    match t.mode with
-    | Dedup ->
-        let bag = ref [||] and len = ref 0 in
-        let refill () =
-          let a = Worklist.pop_all t.wl in
-          if Array.length a > 0 then begin
-            bag := a;
-            len := Array.length a
-          end
-        in
-        swap_drain bag len refill (process_flow t) (Worklist.push t.wl)
-    | Reference ->
-        let bag = ref [||] and len = ref 0 in
-        let refill () =
-          let l = Queue.length t.rqueue in
-          if l > 0 then begin
-            bag := Array.init l (fun _ -> Queue.pop t.rqueue);
-            len := l
-          end
-        in
-        swap_drain bag len refill (process_rtask t) (fun task ->
-            Queue.add task t.rqueue)
+    let bag = ref (Worklist.pop_all t.wl) in
+    let len = ref (Array.length !bag) in
+    while !len > 0 do
+      let i = next !len in
+      let f = !bag.(i) in
+      !bag.(i) <- !bag.(!len - 1);
+      decr len;
+      process_flow t f;
+      step_budget ();
+      if Option.is_some t.pause then begin
+        (* hand the still-bagged flows back to the queue so a snapshot
+           sees them as pending work *)
+        for k = 0 to !len - 1 do
+          Worklist.push t.wl !bag.(k)
+        done;
+        len := 0
+      end
+      else if !len = 0 then begin
+        bag := Worklist.pop_all t.wl;
+        len := Array.length !bag
+      end
+    done
   in
   let drain () =
     match random_order with None -> drain_fifo () | Some s -> drain_random s
   in
   drain ();
-  if t.pause_pending then begin
-    t.pause_pending <- false;
-    t.probe <- (fun () -> ());
-    Paused (snapshot_bytes t)
-  end
-  else if t.degraded then begin
+  let paused = t.pause in
+  t.pause <- None;
+  if Option.is_none paused && t.degraded then begin
     (* Degradation introduces [Any] object states.  An invoke (or field
        access) observing an [Any] receiver no longer sees incremental
        notifications when further types are instantiated (its receiver
@@ -1062,14 +1028,10 @@ let run ?random_order ?(on_budget = `Degrade) t =
       let s = signature () in
       if s <> prev then close s
     in
-    close (signature ());
-    t.probe <- (fun () -> ());
-    Completed
-  end
-  else begin
-    t.probe <- (fun () -> ());
-    Completed
-  end
+    close (signature ())
+  end;
+  t.probe <- (fun () -> ());
+  match paused with Some trip -> Paused trip | None -> Completed
 
 (* ------------------------------ results ------------------------------- *)
 

@@ -22,13 +22,13 @@
     baseline.  Both modes reach bit-identical fixed points. *)
 type mode = Dedup | Reference
 
-(** How {!run} ended.  [Paused payload] is returned only in
-    pause-on-budget mode: the engine stopped at a task boundary and
-    [payload] is its complete serialized state — feed it to
-    {!of_snapshot_bytes} (or persist it with {!Snapshot.write} /
-    {!save_snapshot}) and [run] the restored engine to continue to the
-    {e identical} fixed point. *)
-type outcome = Completed | Paused of string
+(** How {!run} ended.  [Paused trip] is returned only in pause-on-budget
+    mode: the engine stopped at a task boundary because the [trip] cap
+    tripped in this run.  Serialize the engine with {!snapshot_bytes} (or
+    persist it with {!save_snapshot}), restore it with
+    {!of_snapshot_bytes} / {!load_snapshot} and [run] it to continue to
+    the {e identical} fixed point. *)
+type outcome = Completed | Paused of Budget.trip
 
 (** An immutable snapshot of the run's counters (see {!Trace}); the
     engine's live accounting is a set of registered {!Trace.counter}s in
@@ -81,7 +81,9 @@ val add_root : ?seed_params:bool -> t -> Skipflow_ir.Program.meth -> unit
 val run : ?random_order:int -> ?on_budget:[ `Degrade | `Pause ] -> t -> outcome
 (** Drain the worklist to the fixed point.  With [random_order:seed],
     pending work is picked pseudo-randomly instead of FIFO; the fixed
-    point must not change (checked by the property tests).
+    point must not change (checked by the property tests).  The
+    {!Reference} drain is FIFO only: [random_order] on a {!Reference}
+    engine raises [Invalid_argument].
 
     The run honors the configuration's {!Budget.t}; [on_budget] selects
     the reaction when a cap trips:
@@ -93,9 +95,9 @@ val run : ?random_order:int -> ?on_budget:[ `Degrade | `Pause ] -> t -> outcome
       records that this happened; the degraded reachable-method set is
       always a superset of the precise one.
     - [`Pause]: nothing is widened — the engine stops at the next task
-      boundary and returns [Paused snapshot].  Resuming the snapshot
-      (under a larger or unlimited budget) continues to the identical
-      fixed point, flow by flow.
+      boundary and returns [Paused trip], naming the cap.  Resuming the
+      engine's snapshot (under a larger or unlimited budget) continues
+      to the identical fixed point, flow by flow.
 
     Budget caps are checked after every drained task {e and}, via an
     in-task probe, after every interprocedural link
@@ -104,9 +106,10 @@ val run : ?random_order:int -> ?on_budget:[ `Degrade | `Pause ] -> t -> outcome
 
 (** {2 Checkpointing}
 
-    A paused engine serializes to a byte string (all solver state: flow
-    value states, predicate enablement, pending dirty work in queue
-    order, link/seen sets, saturation flags, counters).  The bytes are a
+    An engine at a task boundary — a paused one included — serializes to
+    a byte string (all solver state: flow value states, predicate
+    enablement, pending dirty work in queue order, link/seen sets,
+    saturation flags, counters).  The bytes are a
     [Marshal] image — treat them as opaque and, when persisting, wrap
     them in the {!Snapshot} container ({!save_snapshot} /
     {!load_snapshot}), which adds the magic, schema version, and CRC that
@@ -128,10 +131,10 @@ val snapshot_bytes : t -> string
 
 val of_snapshot_bytes :
   ?trace:Trace.t -> ?budget:Budget.t -> string -> (t, string) result
-(** Rebuild an engine from {!snapshot_bytes} output (or a [Paused]
-    payload).  [trace] (default: a fresh quiet one) receives the restored
-    counter values, so a resumed run's totals continue from the paused
-    run's.  [budget] replaces the snapshotted configuration's budget —
+(** Rebuild an engine from {!snapshot_bytes} output.  [trace] (default:
+    a fresh quiet one) receives the restored counter values, so a resumed
+    run's totals continue from the paused run's.  [budget] replaces the
+    snapshotted configuration's budget —
     pass {!Budget.unlimited} to let the resumed run finish.  Returns
     [Error message] if the bytes cannot be decoded. *)
 

@@ -73,8 +73,8 @@ type summary = {
   config : Config.t;
   engine : Engine.t;  (** the solved engine (reachable set, flow states) *)
   outcome : Engine.outcome;
-      (** {!Engine.Paused} only under [on_budget:`Pause]; resume with
-          {!resume_snapshot} *)
+      (** {!Engine.Paused} only under [on_budget:`Pause]; resume the
+          engine's {!Engine.snapshot_bytes} with {!resume_snapshot} *)
   metrics : Metrics.t;
   trace : Trace.t;  (** counters always; phases/events when enabled *)
   reachable : string list;  (** qualified reachable-method names, in
@@ -110,7 +110,7 @@ val analyze :
     Defaults: [config] {!Config.skipflow}, a fresh quiet trace; the
     solve always runs the deduplicated engine.  [on_budget] is
     {!Engine.run}'s budget-trip reaction: [`Degrade] (default) or
-    [`Pause] (the summary then carries [outcome = Paused snapshot]).
+    [`Pause] (the summary then carries [outcome = Paused trip]).
     (The trailing [unit] makes the optional arguments erasable — all
     other parameters are labeled.) *)
 
@@ -130,8 +130,8 @@ val resume_snapshot :
   ?trace:Trace.t ->
   string ->
   (summary, error) result
-(** Continue a paused solve from a {!Engine.Paused} payload.  [budget]
-    (commonly {!Budget.unlimited}) replaces the snapshotted budget so the
-    resumed run can finish; an undecodable payload is an
-    {!Internal_error}.  The resumed fixed point is identical, flow by
-    flow, to an uninterrupted run's. *)
+(** Continue a paused solve from the paused engine's
+    {!Engine.snapshot_bytes}.  [budget] (commonly {!Budget.unlimited})
+    replaces the snapshotted budget so the resumed run can finish; bytes
+    that do not decode are an {!Internal_error}.  The resumed fixed point
+    is identical, flow by flow, to an uninterrupted run's. *)

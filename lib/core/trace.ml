@@ -182,13 +182,6 @@ let events t = List.rev t.events_rev
 let event_count t = t.n_events
 let dropped_events t = t.n_dropped
 
-(* memory-pressure relief: the buffer is the only unbounded-ish
-   allocation a trace holds.  Dropped events are still accounted. *)
-let drop_events t =
-  t.n_dropped <- t.n_dropped + t.n_events;
-  t.n_events <- 0;
-  t.events_rev <- []
-
 let count_by key_of t =
   let tbl = Hashtbl.create 64 in
   List.iter

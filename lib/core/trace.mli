@@ -103,10 +103,6 @@ val events : t -> event list
 val event_count : t -> int
 val dropped_events : t -> int
 
-val drop_events : t -> unit
-(** Discard the buffered events (they count as dropped) — the memory
-    ceiling's relief valve; counters and phases are untouched. *)
-
 val by_kind : t -> (string * int) list
 (** Event counts per kind, most frequent first. *)
 

@@ -1,66 +1,31 @@
-(** The deduplicated worklist backing {!Engine}: an int-indexed ring
-    buffer of flow ids plus a side table mapping ids back to flows.
+(** The deduplicated worklist backing {!Engine}: a ring buffer of the
+    pending flows themselves.
 
     The engine stores the dirty kinds (pending / recompute / enable /
     notify) as bits on {!Flow.t} itself ([Flow.work]); this module only
-    owns the queue order.  Pushing records the flow in the side table the
-    first time it is scheduled, so popping is a pair of array reads — no
-    boxed task values, no hashing.
-
-    Ids are global across engines ({!Flow.next_id} is a process-wide
-    counter), so the side table is indexed by [id - base] where [base] is
-    the first id that can be created after this worklist: every flow an
-    engine schedules is created after its worklist, which keeps the table
-    dense per engine. *)
+    owns the queue order.  A push writes one ring slot and a pop reads
+    one — no boxed task values, no hashing — and the ring's size follows
+    the queue, not the process-wide flow-id counter. *)
 
 type t = {
-  mutable ring : int array;  (** flow ids, circular; capacity is a power of 2 *)
-  mutable head : int;  (** index of the next id to pop *)
+  mutable ring : Flow.t array;  (** pending flows, circular; capacity is a power of 2 *)
+  mutable head : int;  (** index of the next flow to pop *)
   mutable size : int;
-  mutable flows : Flow.t array;  (** side table: [id - base] -> flow *)
-  base : int;
-  dummy : Flow.t;  (** padding value for unregistered side-table slots *)
+  filler : Flow.t;  (** the value in empty slots *)
 }
 
 let initial_capacity = 1024
 
-let create ?base () =
-  let dummy = Flow.make Flow.Pred_on in
-  (* the dummy flow above just consumed an id, so the default base is the
-     next id that can still be handed out; a resume ({!Engine.restore})
-     passes the paused worklist's base instead, because the flows it will
-     re-push were created in the snapshotted process *)
-  let base = match base with Some b -> b | None -> !Flow.next_id + 1 in
-  {
-    ring = Array.make initial_capacity 0;
-    head = 0;
-    size = 0;
-    flows = Array.make initial_capacity dummy;
-    base;
-    dummy;
-  }
-
-let base t = t.base
+let create () =
+  let filler = Flow.make Flow.Pred_on in
+  { ring = Array.make initial_capacity filler; head = 0; size = 0; filler }
 
 let length t = t.size
 let is_empty t = t.size = 0
 
-let register t (f : Flow.t) =
-  let i = f.Flow.id - t.base in
-  if i >= Array.length t.flows then begin
-    let n = ref (Array.length t.flows * 2) in
-    while i >= !n do
-      n := !n * 2
-    done;
-    let a = Array.make !n t.dummy in
-    Array.blit t.flows 0 a 0 (Array.length t.flows);
-    t.flows <- a
-  end;
-  t.flows.(i) <- f
-
 let grow_ring t =
   let cap = Array.length t.ring in
-  let a = Array.make (cap * 2) 0 in
+  let a = Array.make (cap * 2) t.filler in
   for k = 0 to t.size - 1 do
     a.(k) <- t.ring.((t.head + k) land (cap - 1))
   done;
@@ -68,33 +33,29 @@ let grow_ring t =
   t.head <- 0
 
 let push t (f : Flow.t) =
-  register t f;
   if t.size = Array.length t.ring then grow_ring t;
-  t.ring.((t.head + t.size) land (Array.length t.ring - 1)) <- f.Flow.id;
+  t.ring.((t.head + t.size) land (Array.length t.ring - 1)) <- f;
   t.size <- t.size + 1
 
 (** [pop_exn t] removes and returns the oldest pending flow.  The caller
     must check {!is_empty} first (keeps the hot loop allocation-free). *)
 let pop_exn t =
   if t.size = 0 then invalid_arg "Worklist.pop_exn: empty";
-  let id = t.ring.(t.head) in
+  let f = t.ring.(t.head) in
   t.head <- (t.head + 1) land (Array.length t.ring - 1);
   t.size <- t.size - 1;
-  t.flows.(id - t.base)
+  f
 
 (** [pending t] returns the pending flows in queue order without removing
-    them ({!Engine.snapshot_bytes} serializing a paused engine). *)
+    them ({!Engine.snapshot_bytes} serializing an engine). *)
 let pending t =
   let cap = Array.length t.ring in
-  Array.init t.size (fun k ->
-      t.flows.(t.ring.((t.head + k) land (cap - 1)) - t.base))
+  Array.init t.size (fun k -> t.ring.((t.head + k) land (cap - 1)))
 
 (** [pop_all t] empties the worklist and returns the pending flows in
     queue order (the random-order drain's refill). *)
 let pop_all t =
-  let n = t.size in
-  let cap = Array.length t.ring in
-  let a = Array.init n (fun k -> t.flows.(t.ring.((t.head + k) land (cap - 1)) - t.base)) in
+  let a = pending t in
   t.head <- 0;
   t.size <- 0;
   a

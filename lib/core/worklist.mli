@@ -1,25 +1,17 @@
-(** The deduplicated worklist backing {!Engine}: an int-indexed ring
-    buffer of flow ids plus a side table mapping ids back to flows.
+(** The deduplicated worklist backing {!Engine}: a ring buffer of the
+    pending flows themselves.
 
     The engine stores the dirty kinds (pending / recompute / enable /
     notify) as bits on {!Flow.t} itself ([Flow.work]); this module only
-    owns the queue order.  Pushing records the flow in the side table the
-    first time it is scheduled, so popping is a pair of array reads — no
-    boxed task values, no hashing.
-
-    Every flow pushed here must have been created {e after} the worklist
-    (ids are global, and the side table is indexed by [id - base] where
-    [base] snapshots the id counter at creation). *)
+    owns the queue order.  A push writes one ring slot and a pop reads
+    one — no boxed task values, no hashing — and the ring's size follows
+    the queue, not the process-wide flow-id counter. *)
 
 type t
 
-val create : ?base:int -> unit -> t
-(** [base] (default: the next {!Flow} id that will be allocated) is the
-    smallest flow id this worklist may ever see; every pushed flow must
-    have [id >= base].  {!Engine.load_snapshot} passes the snapshotted
-    worklist's base so restored flows keep their dense side-table slots. *)
-
-val base : t -> int
+val create : unit -> t
+(** An empty worklist.  Mints one {!Flow} id, for the filler value of
+    the ring's empty slots. *)
 
 val length : t -> int
 val is_empty : t -> bool
@@ -35,7 +27,7 @@ val pop_exn : t -> Flow.t
 
 val pending : t -> Flow.t array
 (** The pending flows in queue order, without removing them (used to
-    serialize a paused engine). *)
+    serialize an engine). *)
 
 val pop_all : t -> Flow.t array
 (** Empty the worklist and return the pending flows in queue order (the

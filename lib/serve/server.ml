@@ -16,8 +16,6 @@ type cfg = {
   sv_config : C.Config.t;
   sv_roots : string list;
   sv_state_dir : string option;
-  sv_snapshot_every : int;
-  sv_deadline_ms : int option;
   sv_memo_entries : int;
   sv_timings : bool;
   sv_max_heap_mb : int option;
@@ -30,8 +28,6 @@ let default_cfg =
     sv_config = C.Config.skipflow;
     sv_roots = [];
     sv_state_dir = None;
-    sv_snapshot_every = 1;
-    sv_deadline_ms = None;
     sv_memo_entries = 8;
     sv_timings = false;
     sv_max_heap_mb = None;
@@ -61,7 +57,9 @@ type t = {
   mutable on_disk : SS.t;  (** blob names present under [blobs/] *)
   mutable journal : C.Io.appender option;
   mutable replay : replay_entry list;
-  mutable since_snapshot : int;
+  mutable dirty : bool;
+      (** a commit since the last successful snapshot; a failed snapshot
+          leaves it set, so the next request retries *)
   mutable shutdown : bool;
   mutable finalized : bool;
   mutable served : int;
@@ -194,9 +192,9 @@ let blob_name t bytes =
 (* Commit order: every referenced blob not yet on disk, then the manifest
    (atomically), then the blobs it no longer references.  A crash
    anywhere leaves the old manifest with all its blobs, or the new one
-   with all of its; orphans are swept by the next {!create}.  The counter
-   is reset only on success, so a failed snapshot is retried by the next
-   request instead of [sv_snapshot_every] mutations later. *)
+   with all of its; orphans are swept by the next {!create}.  [dirty] is
+   cleared only on success, so a failed snapshot is retried by the next
+   request. *)
 let write_snapshot t =
   match t.cfg.sv_state_dir with
   | None -> ()
@@ -250,14 +248,13 @@ let write_snapshot t =
                 SS.mem name live
                 || Result.is_error (C.Io.unlink (blob_path dir name)))
               t.on_disk;
-          t.since_snapshot <- 0)
+          t.dirty <- false)
 
 let set_resident t st frozen =
   t.st <- Some st;
   t.st_frozen <- frozen
 
-let maybe_snapshot t =
-  if t.since_snapshot >= t.cfg.sv_snapshot_every then write_snapshot t
+let maybe_snapshot t = if t.dirty then write_snapshot t
 
 (** Journal lines are [{"schema_version", "journal": {gen, digest, ok,
     response}}]; a torn last line (SIGKILL mid-append) parses as nothing
@@ -429,7 +426,7 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
     if mutated then begin
       set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
       List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
-      t.since_snapshot <- t.since_snapshot + 1
+      t.dirty <- true
     end;
     (summary_json t ~wall_us:(wall_us ()) o, mutated)
   in
@@ -491,12 +488,12 @@ let heap_mb () =
 
 (** Graceful degradation before the OOM killer arrives: when the major
     heap crosses [sv_max_heap_mb], drop the cheap-to-recompute state
-    first — the memo LRU and the resident trace's event buffer — and
-    compact; only if the heap is {e still} over the ceiling is the
-    request shed, with {!shed_retry_after_ms} as the hint.  Shed
-    responses are not journaled: memory pressure depends on timing, and
-    replay must stay deterministic.  A shed request re-sent after a
-    restart desynchronizes the replay cursor, which degrades to fresh
+    first — the memo LRU and the blob-name cache — and compact; only if
+    the heap is {e still} over the ceiling is the request shed, with
+    {!shed_retry_after_ms} as the hint.  Shed responses are not
+    journaled: memory pressure depends on timing, and replay must stay
+    deterministic.  A shed request re-sent after a restart
+    desynchronizes the replay cursor, which degrades to fresh
     (deterministic) processing. *)
 let over_ceiling t =
   match t.cfg.sv_max_heap_mb with
@@ -507,9 +504,6 @@ let over_ceiling t =
            I.Memo.clear t.memo;
            (* the blob-name cache would keep the dropped states alive *)
            t.names <- [];
-           (match t.st with
-           | Some st -> C.Trace.drop_events (C.Engine.trace_of st.I.engine)
-           | None -> ());
            Gc.compact ();
            heap_mb () > cap
          end
@@ -537,12 +531,10 @@ let process t line =
                (P.Overloaded { retry_after_ms = shed_retry_after_ms }));
         ]
     | Ok env -> (
-        let deadline_ms =
-          match env.P.req_deadline_ms with
-          | Some _ as d -> d
-          | None -> t.cfg.sv_deadline_ms
-        in
-        match protected (fun () -> dispatch t env ~deadline_ms ~t0) with
+        match
+          protected (fun () ->
+              dispatch t env ~deadline_ms:env.P.req_deadline_ms ~t0)
+        with
         | Ok (result, _mutated) ->
             [ emit t ~line ~ok:true (P.response_ok ~id:env.P.req_id result) ]
         | Error err ->
@@ -680,7 +672,7 @@ let create ?initial ~resume cfg =
       on_disk = SS.empty;
       journal = None;
       replay = [];
-      since_snapshot = 0;
+      dirty = false;
       shutdown = false;
       finalized = false;
       served = 0;
@@ -730,7 +722,7 @@ let create ?initial ~resume cfg =
               | Ok o ->
                   set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
                   List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
-                  t.since_snapshot <- t.since_snapshot + 1;
+                  t.dirty <- true;
                   Ok ()))
   in
   match initial_result with

@@ -10,9 +10,9 @@
     trip rolls the resident state back by construction.  Every response
     is appended to a journal (with the request digest and the resulting
     generation) before it is returned, and the resident state plus memo
-    are snapshotted every [snapshot_every] mutations: each solved state
-    is written once, as a content-addressed blob under [DIR/blobs/], and
-    an atomically replaced manifest ([DIR/serve.snap]) names the blobs in
+    are snapshotted after every mutation: each solved state is written
+    once, as a content-addressed blob under [DIR/blobs/], and an
+    atomically replaced manifest ([DIR/serve.snap]) names the blobs in
     use — a [kill -9] at any point loses at most the in-flight request,
     and a restart with [resume:true] re-emits journaled responses byte
     for byte while re-executing post-snapshot mutations to catch the
@@ -27,17 +27,14 @@ type cfg = {
   sv_config : C.Config.t;
   sv_roots : string list;  (** initial root names; [[]] = static main *)
   sv_state_dir : string option;  (** snapshots + journal; [None] = none *)
-  sv_snapshot_every : int;
-      (** mutations between snapshots; 1 = after every mutation *)
-  sv_deadline_ms : int option;  (** default per-request deadline *)
   sv_memo_entries : int;  (** memo capacity (solved states) *)
   sv_timings : bool;  (** report wall_us; off = 0, byte-comparable *)
   sv_max_heap_mb : int option;
-      (** memory ceiling: past it, memo and trace events are dropped and
-          the heap compacted; if still over, mutating requests are shed
-          as {!Protocol.Overloaded} with a 50ms retry hint
-          ([health]/[shutdown] always answer).  Shed responses are never
-          journaled. *)
+      (** memory ceiling: past it, the memo and the blob-name cache are
+          dropped and the heap compacted; if still over, mutating
+          requests are shed as {!Protocol.Overloaded} with a 50ms retry
+          hint ([health]/[shutdown] always answer).  Shed responses are
+          never journaled. *)
   sv_restarts : int;
       (** how many times the supervisor has restarted this daemon
           (surfaced in [health]; 0 when unsupervised) *)
@@ -45,9 +42,8 @@ type cfg = {
 }
 
 val default_cfg : cfg
-(** skipflow config, main root, no state dir, snapshot every mutation,
-    no deadline, 8 memo entries, timings off, no memory ceiling, not
-    restarted, silent log. *)
+(** skipflow config, main root, no state dir, 8 memo entries, timings
+    off, no memory ceiling, not restarted, silent log. *)
 
 type t
 

@@ -165,7 +165,9 @@ let test_megacall_pause_stays_precise () =
   let paused = run ~config ~on_budget:`Pause prog main in
   match paused.C.Analysis.outcome with
   | C.Engine.Completed -> Alcotest.fail "mega-call finished under 30 tasks"
-  | C.Engine.Paused bytes -> (
+  | C.Engine.Paused trip -> (
+      Alcotest.(check bool) "the task cap paused it" true (trip = C.Budget.Tasks);
+      let bytes = C.Engine.snapshot_bytes paused.C.Analysis.engine in
       match C.Analysis.resume ~budget:C.Budget.unlimited bytes with
       | Error msg -> Alcotest.failf "resume: %s" msg
       | Ok finished ->

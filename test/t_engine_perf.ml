@@ -10,7 +10,9 @@
      emits accounted in the [dedup_*] counters;
    - degradation under a task budget still only ever widens: the dedup
      engine's budget-tripped reachable set is a superset of the precise
-     one. *)
+     one;
+   - a restored engine's re-drain allocates the same however many flow
+     ids the process has minted. *)
 
 open Skipflow_ir
 module C = Skipflow_core
@@ -172,6 +174,48 @@ let test_dedup_budget_superset () =
        (reachable_ids precise.C.Analysis.engine)
        (reachable_ids degraded.C.Analysis.engine))
 
+(* Thaw a solved state, add a root that is unreachable at its fixed
+   point, and re-drain: the worklist is sized by its queue, so the same
+   re-drain allocates no more after 300,000 other flows were minted. *)
+let test_redrain_alloc_flat () =
+  let prog, main =
+    W.Gen.compile { W.Gen.default_params with W.Gen.live_units = 4; dead_units = 2 }
+  in
+  let solved = (run ~mode:C.Engine.Dedup prog main).C.Analysis.engine in
+  let bytes = C.Engine.snapshot_bytes solved in
+  let solved_tasks = (C.Engine.stats solved).C.Engine.tasks_processed in
+  let redrain root =
+    (* from a settled heap: an in-flight major cycle skews the count *)
+    Gc.full_major ();
+    let a0 = Gc.allocated_bytes () in
+    let e =
+      match C.Engine.of_snapshot_bytes bytes with
+      | Ok e -> e
+      | Error msg -> Alcotest.fail msg
+    in
+    C.Engine.add_root e root;
+    ignore (C.Engine.run e);
+    let allocated = Gc.allocated_bytes () -. a0 in
+    (allocated, (C.Engine.stats e).C.Engine.tasks_processed - solved_tasks)
+  in
+  let unreachable = ref [] in
+  Program.iter_meths prog (fun m ->
+      if m.Program.m_body <> None && not (C.Engine.is_reachable solved m.Program.m_id)
+      then unreachable := m :: !unreachable);
+  let root =
+    match List.find_opt (fun m -> snd (redrain m) > 0) (List.rev !unreachable) with
+    | Some m -> m
+    | None -> Alcotest.fail "no unreachable root makes the re-drain process a task"
+  in
+  let first, _ = redrain root in
+  for _ = 1 to 300_000 do
+    ignore (C.Flow.make C.Flow.Pred_on)
+  done;
+  let second, _ = redrain root in
+  if second > first +. 65536. then
+    Alcotest.failf "re-drain allocated %.0f bytes after minting, %.0f before" second
+      first
+
 let suite =
   ( "engine-perf",
     [
@@ -181,4 +225,6 @@ let suite =
         test_dedup_processes_fewer_tasks;
       Alcotest.test_case "budgeted dedup reaches a reachable superset" `Quick
         test_dedup_budget_superset;
+      Alcotest.test_case "redrain allocation does not grow with minted flow ids"
+        `Quick test_redrain_alloc_flat;
     ] )

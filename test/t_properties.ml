@@ -217,6 +217,66 @@ let bench_soundness seed =
   let r = C.Analysis.run prog ~roots:[ main ] in
   Ids.Meth.Set.for_all (fun m -> C.Engine.is_reachable r.C.Analysis.engine m) trace.I.called
 
+(* ------------------------------ worklist ------------------------------ *)
+
+(* The dedup worklist against a [Queue] model.  Batches of up to 1,500
+   pushes or pops move the ring's head and grow it past its initial
+   1,024 slots while the queue has wrapped. *)
+type wl_op = Push of int | Pop of int | Pop_all
+
+let arb_wl_ops =
+  let open QCheck.Gen in
+  let op =
+    frequency
+      [
+        (5, map (fun n -> Push n) (int_bound 1500));
+        (4, map (fun n -> Pop n) (int_bound 1500));
+        (1, return Pop_all);
+      ]
+  in
+  let print = function
+    | Push n -> Printf.sprintf "push %d" n
+    | Pop n -> Printf.sprintf "pop %d" n
+    | Pop_all -> "pop_all"
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map print ops))
+    (list_size (int_range 1 20) op)
+
+let worklist_matches_queue ops =
+  let wl = C.Worklist.create () and model = Queue.create () in
+  let same flows =
+    Array.length flows = Queue.length model
+    && List.for_all2 ( == ) (Array.to_list flows) (List.of_seq (Queue.to_seq model))
+  in
+  let step = function
+    | Push n ->
+        for _ = 1 to n do
+          let f = C.Flow.make C.Flow.Pred_on in
+          C.Worklist.push wl f;
+          Queue.add f model
+        done;
+        true
+    | Pop n ->
+        let in_order = ref true in
+        for _ = 1 to min n (Queue.length model) do
+          if C.Worklist.pop_exn wl != Queue.pop model then in_order := false
+        done;
+        !in_order
+    | Pop_all ->
+        let popped = same (C.Worklist.pop_all wl) in
+        Queue.clear model;
+        popped
+  in
+  List.for_all
+    (fun op ->
+      step op
+      && C.Worklist.length wl = Queue.length model
+      && same (C.Worklist.pending wl))
+    ops
+  && same (C.Worklist.pop_all wl)
+  && C.Worklist.is_empty wl
+
 let suite =
   ( "properties",
     [
@@ -236,4 +296,7 @@ let suite =
       prop ~count:25 "benchmarks: SkipFlow dominates PTA on every metric"
         bench_skipflow_below_pta;
       prop ~count:25 "benchmarks: guarded code sound" bench_soundness;
+      QCheck_alcotest.to_alcotest
+        (QCheck.Test.make ~name:"worklist pops in Queue order" ~count:200
+           arb_wl_ops worklist_matches_queue);
     ] )

@@ -224,13 +224,14 @@ let test_pause_resume_identical_fixed_point () =
               let finished =
                 match paused.C.Analysis.outcome with
                 | C.Engine.Completed -> paused
-                | C.Engine.Paused bytes ->
+                | C.Engine.Paused _ ->
                     incr paused_cases;
                     Alcotest.(check bool)
                       (ctx ^ ": paused run is not degraded")
                       false
                       (C.Engine.is_degraded paused.C.Analysis.engine);
-                    resume_exn ~ctx ~budget:C.Budget.unlimited bytes
+                    resume_exn ~ctx ~budget:C.Budget.unlimited
+                      (C.Engine.snapshot_bytes paused.C.Analysis.engine)
               in
               (match finished.C.Analysis.outcome with
               | C.Engine.Completed -> ()
@@ -270,17 +271,19 @@ let test_double_resume_deterministic () =
       let finished =
         match first.C.Analysis.outcome with
         | C.Engine.Completed -> first
-        | C.Engine.Paused bytes -> (
+        | C.Engine.Paused _ -> (
             let second =
               resume_exn ~ctx
                 ~budget:(C.Budget.make ~max_tasks:60 ())
-                ~on_budget:`Pause bytes
+                ~on_budget:`Pause
+                (C.Engine.snapshot_bytes first.C.Analysis.engine)
             in
             match second.C.Analysis.outcome with
             | C.Engine.Completed -> second
-            | C.Engine.Paused bytes2 ->
+            | C.Engine.Paused _ ->
                 incr double_paused;
-                resume_exn ~ctx ~budget:C.Budget.unlimited bytes2)
+                resume_exn ~ctx ~budget:C.Budget.unlimited
+                  (C.Engine.snapshot_bytes second.C.Analysis.engine))
       in
       check_same_fixed_point ~ctx straight.C.Analysis.engine
         finished.C.Analysis.engine)
