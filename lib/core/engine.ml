@@ -661,8 +661,8 @@ type frozen = {
   fz_first_trip : Budget.trip option;
 }
 
-(** The one constructor: {!create}, {!of_snapshot_bytes} and {!clone} all
-    build their engine from an image here.  [wl] is created by the caller,
+(** The one constructor: {!create} and {!of_snapshot_bytes} both build
+    their engine from an image here.  [wl] is created by the caller,
     before any flow of the image is minted, so flow ids keep their order. *)
 let thaw ?trace ?budget wl fz =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
@@ -772,14 +772,49 @@ let snapshot_kind = "engine-state"
    version mismatch *)
 let snapshot_version = 5
 
-let of_snapshot_bytes ?trace ?budget s =
-  match (Marshal.from_string s 0 : frozen) with
-  | exception _ -> Error "cannot decode engine snapshot payload"
-  | fz ->
+(* Point a decoded image at [prog], another compile of the same program:
+   the program itself, every graph's method and body, and the discovery
+   list.  Flows carry ids and spans, not records, so they need nothing.
+   The image is freshly decoded, so its graph table is ours to update. *)
+let rebind prog fz =
+  let fits =
+    Program.num_classes prog = Array.length fz.fz_all_inst_rev
+    && Program.num_meths prog = Program.num_meths fz.fz_prog
+    && Ids.Meth.Tbl.fold
+         (fun id _ ok -> ok && Option.is_some (Program.meth prog id).Program.m_body)
+         fz.fz_graphs true
+  in
+  if not fits then Error "engine snapshot does not fit the given program"
+  else begin
+    Ids.Meth.Tbl.filter_map_inplace
+      (fun id (g : Graph.method_graph) ->
+        let m = Program.meth prog id in
+        Some { g with Graph.g_meth = m; g_body = Option.get m.Program.m_body })
+      fz.fz_graphs;
+    Ok
+      {
+        fz with
+        fz_prog = prog;
+        fz_reachable_order =
+          List.map
+            (fun (m : Program.meth) -> Program.meth prog m.Program.m_id)
+            fz.fz_reachable_order;
+      }
+  end
+
+let of_snapshot_bytes ?trace ?budget ?prog s =
+  let decoded =
+    match (Marshal.from_string s 0 : frozen) with
+    | exception _ -> Error "cannot decode engine snapshot payload"
+    | fz -> ( match prog with None -> Ok fz | Some p -> rebind p fz)
+  in
+  Result.map
+    (fun fz ->
       (* flow ids stay unique within the engine: ids minted after the
          resume start past every restored one *)
       if !Flow.next_id < fz.fz_next_flow_id then Flow.next_id := fz.fz_next_flow_id;
-      Ok (thaw ?trace ?budget (Worklist.create ()) fz)
+      thaw ?trace ?budget (Worklist.create ()) fz)
+    decoded
 
 let save_snapshot t ~path =
   Snapshot.write ~path ~kind:snapshot_kind ~version:snapshot_version
@@ -792,14 +827,6 @@ let load_snapshot ?trace ?budget path =
       match of_snapshot_bytes ?trace ?budget payload with
       | Ok t -> Ok t
       | Error message -> Error (Snapshot.Bad_payload { path; message }))
-
-let clone ?trace ?budget t =
-  (* [capture]'s frozen record aliases the live mutable flows; only a
-     Marshal round trip yields an independent copy.  Bytes we just
-     produced always decode. *)
-  match of_snapshot_bytes ?trace ?budget (snapshot_bytes t) with
-  | Ok t' -> t'
-  | Error message -> invalid_arg ("Engine.clone: " ^ message)
 
 (* ------------------------------ driver -------------------------------- *)
 

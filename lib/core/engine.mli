@@ -130,12 +130,24 @@ val snapshot_bytes : t -> string
     outcome was produced from. *)
 
 val of_snapshot_bytes :
-  ?trace:Trace.t -> ?budget:Budget.t -> string -> (t, string) result
-(** Rebuild an engine from {!snapshot_bytes} output.  [trace] (default:
+  ?trace:Trace.t ->
+  ?budget:Budget.t ->
+  ?prog:Skipflow_ir.Program.t ->
+  string ->
+  (t, string) result
+(** Rebuild an engine from {!snapshot_bytes} output.  The engine shares
+    no mutable state with any other, the one the bytes came from
+    included.  [trace] (default:
     a fresh quiet one) receives the restored counter values, so a resumed
     run's totals continue from the paused run's.  [budget] replaces the
     snapshotted configuration's budget —
-    pass {!Budget.unlimited} to let the resumed run finish.  Returns
+    pass {!Budget.unlimited} to let the resumed run finish.  [prog]
+    binds the engine to another compile of the snapshotted program: the
+    engine reads its methods, bodies and hierarchy from [prog] instead.
+    The caller guarantees that [prog] has the same class, method and
+    field ids and the same reachable bodies, as the serve daemon's
+    fingerprints do; a [prog] whose class or method count differs, or
+    that lacks a body for a reachable method, is an [Error].  Returns
     [Error message] if the bytes cannot be decoded. *)
 
 val save_snapshot : t -> path:string -> (unit, Snapshot.error) result
@@ -148,13 +160,6 @@ val load_snapshot :
     files, and stale schema versions come back as the corresponding
     {!Snapshot.error}; an intact container whose payload fails to decode
     is {!Snapshot.Bad_payload}. *)
-
-val clone : ?trace:Trace.t -> ?budget:Budget.t -> t -> t
-(** An independent deep copy of the complete solver state (a
-    {!snapshot_bytes} round trip): mutating the clone — e.g.
-    {!add_root} + {!run} on a solved engine — leaves the original
-    untouched.  [budget] replaces the clone's budget.  Meaningful at task
-    boundaries, like {!snapshot_bytes}. *)
 
 (** {2 Results} *)
 

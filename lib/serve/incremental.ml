@@ -37,63 +37,158 @@ let strategy_reason = function Full reason -> Some reason | _ -> None
 
 (* ---------------------------- fingerprints ---------------------------- *)
 
+(* Both fingerprints digest a binary walk over the IR, appended to one
+   buffer.  Ints are LEB128 varints ([lsr] shifts zeros in, so a negative
+   constant ends after nine bytes); strings and lists carry their length
+   and variants a tag, so distinct IR never writes equal bytes.
+   Cross-references — classes, methods, fields — are written by name and
+   locals and blocks by their per-body ids, so a method's bytes are
+   stable across recompiles of an edited source. *)
+let rec add_int b n =
+  if n land lnot 0x7f = 0 then Buffer.add_char b (Char.unsafe_chr n)
+  else begin
+    Buffer.add_char b (Char.unsafe_chr (n land 0x7f lor 0x80));
+    add_int b (n lsr 7)
+  end
+
+let add_bool b x = add_int b (Bool.to_int x)
+let add_str b s = add_int b (String.length s); Buffer.add_string b s
+let add_list b f l = add_int b (List.length l); List.iter f l
+let add_opt b f = function None -> add_int b 0 | Some x -> add_int b 1; f x
+let add_class prog b c = add_str b (Program.class_name prog c)
+
+(* a method or field as [Class.name] *)
+let add_member prog b c name = add_class prog b c; add_str b name
+
+let add_ty prog b : Ty.t -> unit = function
+  | Int -> add_int b 0
+  | Bool -> add_int b 1
+  | Void -> add_int b 2
+  | Null -> add_int b 3
+  | Obj c -> add_int b 4; add_class prog b c
+
+let add_span b = add_opt b (fun (s : Span.t) -> add_int b s.line; add_int b s.col)
+
+let add_body prog b (body : Bl.body) =
+  let num = add_int b and cls = add_class prog b in
+  let var v = num (Ids.Var.to_int v) and blk l = num (Ids.Block.to_int l) in
+  let meth m =
+    let mi = Program.meth prog m in
+    add_member prog b mi.m_class mi.m_name
+  in
+  let field f =
+    let fi = Program.field prog f in
+    add_member prog b fi.f_class fi.f_name
+  in
+  let expr : Bl.expr -> unit = function
+    | Const n -> num 0; num n
+    | Null -> num 1
+    | New c -> num 2; cls c
+    | NewArr (c, n) -> num 3; cls c; var n
+    | Arith (op, x, y) ->
+        num 4;
+        num (match op with Add -> 0 | Sub -> 1 | Mul -> 2 | Div -> 3 | Rem -> 4);
+        var x; var y
+    | AnyInt -> num 5
+  in
+  let insn : Bl.insn -> unit = function
+    | Assign (v, e) -> num 0; var v; expr e
+    | Load { dst; recv; field = f } -> num 1; var dst; var recv; field f
+    | Store { recv; field = f; src } -> num 2; var recv; field f; var src
+    | LoadStatic { dst; field = f } -> num 3; var dst; field f
+    | StoreStatic { field = f; src } -> num 4; field f; var src
+    | ArrLoad { dst; arr; idx; elem } -> num 5; var dst; var arr; var idx; field elem
+    | ArrStore { arr; idx; src; elem } -> num 6; var arr; var idx; var src; field elem
+    | ArrLen { dst; arr } -> num 7; var dst; var arr
+    | Cast { dst; src; cls = c } -> num 8; var dst; var src; cls c
+    | Invoke { dst; recv; target; args; virtual_ } ->
+        num 9; var dst; add_opt b var recv; meth target; add_list b var args;
+        add_bool b virtual_
+  in
+  let term : Bl.terminator -> unit = function
+    | Jump l -> num 0; blk l
+    | If { cond; then_; else_ } ->
+        (match cond with
+        | Cmp (op, x, y) -> num (match op with `Eq -> 1 | `Lt -> 2); var x; var y
+        | InstanceOf (v, c) -> num 3; var v; cls c);
+        blk then_; blk else_
+    | Return v -> num 4; add_opt b var v
+    | Throw v -> num 5; var v
+  in
+  let block (k : Bl.block) =
+    blk k.b_id;
+    num (match k.b_kind with Entry -> 0 | Label -> 1 | Merge -> 2);
+    add_list b blk k.b_preds;
+    add_list b
+      (fun (p : Bl.phi) ->
+        var p.phi_var;
+        add_list b (fun (l, v) -> blk l; var v) p.phi_args)
+      k.b_phis;
+    add_list b insn k.b_insns;
+    add_list b (add_span b) k.b_spans;
+    add_opt b term k.b_term;
+    add_span b k.b_term_span;
+    add_bool b k.b_term_swapped;
+    add_bool b k.b_term_synthetic
+  in
+  add_list b var body.params;
+  blk body.entry;
+  num body.var_count;
+  num (Array.length body.var_tys);
+  Array.iter (add_ty prog b) body.var_tys;
+  num (Array.length body.blocks);
+  Array.iter block body.blocks
+
 let meth_fingerprints (prog : Program.t) =
+  let b = Buffer.create 4096 in
   let acc = ref [] in
   Program.iter_meths prog (fun (m : Program.meth) ->
-      let qname = Program.qualified_name prog m.Program.m_id in
-      (* [Ir_pp] prints cross-references (classes, methods, fields) by
-         name and locals by per-body ids, so the rendering — unlike the
-         raw IR with its global tables — is stable across recompiles of
-         an edited source.  The signature is appended because the body
-         printer does not show declared types. *)
-      let rendering =
-        Format.asprintf "%a|%a->%a" (Ir_pp.pp_meth prog) m
-          (Format.pp_print_list (Program.pp_ty prog))
-          m.Program.m_param_tys (Program.pp_ty prog) m.Program.m_ret_ty
-      in
-      acc := (qname, Digest.to_hex (Digest.string rendering)) :: !acc);
+      Buffer.clear b;
+      add_member prog b m.m_class m.m_name;
+      add_bool b m.m_static;
+      add_list b (add_ty prog b) m.m_param_tys;
+      add_ty prog b m.m_ret_ty;
+      add_span b m.m_span;
+      add_opt b (add_body prog b) m.m_body;
+      let digest = Digest.to_hex (Digest.string (Buffer.contents b)) in
+      acc := (Program.qualified_name prog m.m_id, digest) :: !acc);
   List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
 
 let hierarchy_fingerprint (prog : Program.t) =
   let b = Buffer.create 1024 in
-  let ty t = Buffer.add_string b (Ty.to_string ~class_name:(Program.class_name prog) t) in
   (* declaration order, deliberately: equal fingerprints then guarantee
      equal id assignment between the two compiles, which the reuse path
-     relies on when it keeps the resident engine for a newer source *)
+     relies on when it rebinds the resident engine to a newer program *)
   Program.iter_classes prog (fun (c : Program.cls) ->
-      Buffer.add_string b c.Program.c_name;
-      Buffer.add_char b '<';
-      Buffer.add_string b
-        (match c.Program.c_super with
-        | Some s -> Program.class_name prog s
-        | None -> "-");
-      Buffer.add_string b (if c.Program.c_abstract then "!a" else "");
-      List.iter
+      add_str b c.c_name;
+      add_opt b (add_class prog b) c.c_super;
+      add_bool b c.c_abstract;
+      add_list b
         (fun (f : Program.field) ->
-          Buffer.add_char b ';';
-          Buffer.add_string b f.Program.f_name;
-          Buffer.add_char b ':';
-          ty f.Program.f_ty;
-          if f.Program.f_static then Buffer.add_string b "!s")
-        c.Program.c_fields;
-      List.iter
+          add_str b f.f_name; add_ty prog b f.f_ty; add_bool b f.f_static)
+        c.c_fields;
+      add_list b
         (fun (m : Program.meth) ->
-          Buffer.add_char b '|';
-          Buffer.add_string b m.Program.m_name;
-          if m.Program.m_static then Buffer.add_string b "!s";
-          Buffer.add_char b '(';
-          List.iter
-            (fun t ->
-              ty t;
-              Buffer.add_char b ',')
-            m.Program.m_param_tys;
-          Buffer.add_char b ')';
-          ty m.Program.m_ret_ty;
-          Buffer.add_string b
-            (match m.Program.m_body with Some _ -> "" | None -> "!n"))
-        c.Program.c_methods;
-      Buffer.add_char b '\n');
+          add_str b m.m_name;
+          add_bool b m.m_static;
+          add_list b (add_ty prog b) m.m_param_tys;
+          add_ty prog b m.m_ret_ty;
+          add_bool b (Option.is_some m.m_body))
+        c.c_methods);
   Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* The names in [fresh] whose hash differs from, or is missing in,
+   [old], in one merge: both lists are sorted by name. *)
+let rec changed_names fresh old =
+  match (fresh, old) with
+  | [], _ -> []
+  | (n, _) :: rest, [] -> n :: changed_names rest []
+  | (n, h) :: rest, (n', h') :: old_rest ->
+      let c = String.compare n n' in
+      if c > 0 then changed_names fresh old_rest
+      else if c < 0 then n :: changed_names rest old
+      else if String.equal h h' then changed_names rest old_rest
+      else n :: changed_names rest old_rest
 
 let reachable_names engine =
   let prog = C.Engine.prog_of engine in
@@ -325,38 +420,37 @@ let edit ~config ~deadline_ms ~memo st ~source =
             else begin
               (* equal hierarchy fingerprints imply the same method-name
                  set, so the diff is exactly the hash mismatches *)
-              let changed =
-                List.filter
-                  (fun (n, h) ->
-                    match List.assoc_opt n st.meth_hashes with
-                    | Some h' -> not (String.equal h h')
-                    | None -> true)
-                  hashes
-              in
               let touched_reachable =
-                List.filter (fun (n, _) -> List.mem n st.reachable) changed
+                List.filter
+                  (fun n -> List.mem n st.reachable)
+                  (changed_names hashes st.meth_hashes)
               in
               match touched_reachable with
-              | [] ->
+              | [] -> (
                   (* every edited body is outside the reachable set: the
                      fixed point is generated only from reachable bodies
                      plus the (unchanged) hierarchy, so the resident
-                     engine already holds the new program's fixed point *)
-                  if certify st.engine then begin
-                    let st' =
-                      {
-                        st with
-                        source;
-                        meth_hashes = hashes;
-                        generation = st.generation + 1;
-                      }
-                    in
-                    Ok
-                      (candidate ~before:[ pre_add ] ~strategy:Reuse
-                         ~verified:true ~key st' (freeze st'))
-                  end
-                  else full "resident engine failed verification"
-              | (name, _) :: _ ->
+                     image already holds the new program's fixed point.
+                     Bound to [prog], it answers later redrains and
+                     lints from the edited program. *)
+                  match C.Engine.of_snapshot_bytes ~prog st.snapshot with
+                  | Ok engine when certify engine ->
+                      let st' =
+                        {
+                          st with
+                          source;
+                          engine;
+                          snapshot = C.Engine.snapshot_bytes engine;
+                          meth_hashes = hashes;
+                          generation = st.generation + 1;
+                        }
+                      in
+                      Ok
+                        (candidate ~before:[ pre_add ] ~strategy:Reuse
+                           ~verified:true ~key st' (freeze st'))
+                  | Ok _ -> full "resident engine failed verification"
+                  | Error _ -> full "resident image does not fit the edit")
+              | name :: _ ->
                   full
                     (Printf.sprintf "%d reachable method(s) changed (%s)"
                        (List.length touched_reachable) name)
@@ -409,38 +503,47 @@ let analyze_roots ~config ~deadline_ms ~memo st ~roots =
           | None -> (config.C.Config.budget, `Degrade)
           | Some ms -> (deadline_budget ms, `Pause)
         in
-        (* mutate a clone: a deadline trip (or any failure) rolls back by
-           keeping the resident state untouched *)
-        let clone = C.Engine.clone ~budget st.engine in
-        List.iter (fun m -> C.Engine.add_root clone m) added;
-        let r = C.Analysis.rerun ~on_budget clone in
-        match (r.C.Analysis.outcome, deadline_ms) with
-        | C.Engine.Paused _, Some deadline_ms ->
-            Error (Protocol.Deadline_exceeded { deadline_ms })
-        | C.Engine.Paused _, None ->
-            Error
-              (Protocol.Api_error (Api.Internal_error "paused without deadline"))
-        | C.Engine.Completed, _ ->
-            if certify r.C.Analysis.engine then begin
-              let st' =
-                {
-                  st with
-                  roots;
-                  engine = r.C.Analysis.engine;
-                  snapshot = C.Engine.snapshot_bytes r.C.Analysis.engine;
-                  metrics = r.C.Analysis.metrics;
-                  reachable = reachable_names r.C.Analysis.engine;
-                  generation = st.generation + 1;
-                }
-              in
-              Ok
-                (candidate ~strategy:(Redrain (List.length added))
-                   ~verified:true ~key:(Lazy.force key) st' (freeze st'))
-            end
-            else
-              solve_full ~reason:"re-drained engine failed verification"
-                ~config ~deadline_ms ~generation:st.generation
-                ~source:st.source ~roots ()
+        let fallback reason =
+          solve_full ~reason ~config ~deadline_ms ~generation:st.generation
+            ~source:st.source ~roots ()
+        in
+        (* drain a thaw of the resident image, which shares nothing with
+           the resident engine: a deadline trip (or any failure) rolls
+           back by keeping the resident state untouched *)
+        match C.Engine.of_snapshot_bytes ~budget st.snapshot with
+        | Error _ -> fallback "resident image failed to decode"
+        | Ok engine -> (
+            let thawed = C.Engine.prog_of engine in
+            List.iter
+              (fun (m : Program.meth) ->
+                C.Engine.add_root engine (Program.meth thawed m.Program.m_id))
+              added;
+            let r = C.Analysis.rerun ~on_budget engine in
+            match (r.C.Analysis.outcome, deadline_ms) with
+            | C.Engine.Paused _, Some deadline_ms ->
+                Error (Protocol.Deadline_exceeded { deadline_ms })
+            | C.Engine.Paused _, None ->
+                Error
+                  (Protocol.Api_error
+                     (Api.Internal_error "paused without deadline"))
+            | C.Engine.Completed, _ ->
+                if certify r.C.Analysis.engine then begin
+                  let st' =
+                    {
+                      st with
+                      roots;
+                      engine = r.C.Analysis.engine;
+                      snapshot = C.Engine.snapshot_bytes r.C.Analysis.engine;
+                      metrics = r.C.Analysis.metrics;
+                      reachable = reachable_names r.C.Analysis.engine;
+                      generation = st.generation + 1;
+                    }
+                  in
+                  Ok
+                    (candidate ~strategy:(Redrain (List.length added))
+                       ~verified:true ~key:(Lazy.force key) st' (freeze st'))
+                end
+                else fallback "re-drained engine failed verification")
       end)
 
 (* ------------------------ equality certification ---------------------- *)

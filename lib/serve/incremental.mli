@@ -16,9 +16,13 @@
       point is generated only from reachable bodies plus the hierarchy,
       so it is {e exactly} the new program's fixed point (this is the
       paper's headline effect turned into an incremental win: the more
-      code SkipFlow proves unreachable, the more edits are free).
+      code SkipFlow proves unreachable, the more edits are free).  The
+      resident image is rebound to the edited program, so later
+      redrains and lints read the new bodies and positions.  Method
+      fingerprints cover every source span, so an edit that moves a
+      reachable method's code, even by whitespace, is {b full}.
     - {b redrain}: the root set grew.  {!Skipflow_core.Engine.add_root}
-      on a clone of the resident engine re-drains the worklist from the
+      on a thaw of the resident image re-drains the worklist from the
       new roots' boundary flows only; monotone chaotic iteration from
       the old fixed point — a pre-fixpoint of the grown constraint
       system — reaches the grown system's least fixed point.
@@ -28,10 +32,10 @@
     - {b full}: everything else, and any incremental result that fails
       the {!Skipflow_core.Verify} certifier.
 
-    All mutating operations build a {e candidate} state on a clone and
-    leave the resident state untouched until the candidate is committed
-    by the caller — a deadline trip or failure rolls back by simply
-    keeping the old state. *)
+    All mutating operations build a {e candidate} state on an engine of
+    its own and leave the resident state untouched until the candidate
+    is committed by the caller — a deadline trip or failure rolls back
+    by simply keeping the old state. *)
 
 module C = Skipflow_core
 module Api = Skipflow_api
@@ -40,13 +44,17 @@ type state = {
   source : string;  (** the accepted program source text *)
   roots : string list;  (** requested root names ([] = static main) *)
   engine : C.Engine.t;  (** solved, at the fixed point *)
-  snapshot : string;  (** {!C.Engine.snapshot_bytes} of [engine] *)
+  snapshot : string;
+      (** {!C.Engine.snapshot_bytes} of [engine]: the image of the same
+          program, graphs and counters.  Redrain and reuse thaw it
+          instead of encoding [engine] again, so every constructor of a
+          state keeps this invariant, and nothing mutates a committed
+          engine: lint, profile and the other reads only read it. *)
   metrics : C.Metrics.t;
   reachable : string list;  (** qualified names, discovery order *)
   meth_hashes : (string * string) list;
-      (** qualified name → body fingerprint, sorted by name, for the
-          {e newest accepted} source (on the reuse path this can be newer
-          than the engine's program — the fixed points coincide) *)
+      (** qualified name → {!meth_fingerprints} of [engine]'s program,
+          sorted by name *)
   hier_hash : string;  (** class-hierarchy fingerprint *)
   generation : int;  (** bumped by every committed mutation *)
 }
@@ -67,10 +75,13 @@ val strategy_reason : strategy -> string option
 (** {1 Fingerprints} *)
 
 val meth_fingerprints : Skipflow_ir.Program.t -> (string * string) list
-(** Per-method content hashes of the lowered bodies (rendered through
-    {!Skipflow_ir.Ir_pp}, which prints cross-references by name and
-    per-body local ids — stable across recompiles of edited sources),
-    sorted by qualified name. *)
+(** Per-method content hashes, sorted by qualified name: an MD5 over a
+    binary walk of the declaration (name, static flag, signature, span)
+    and the lowered body (parameters, variable types, and every block
+    with its phis, instructions, terminator and spans).  Classes,
+    methods and fields are written by name and locals and blocks by
+    their per-body ids, so the hashes are stable across recompiles of
+    edited sources. *)
 
 val hierarchy_fingerprint : Skipflow_ir.Program.t -> string
 (** A digest of everything the fixed point depends on {e besides}

@@ -86,10 +86,14 @@ let serve_snapshot_kind = "serve-state"
 let serve_snapshot_version = 2
 let blob_kind = "serve-blob"
 
-(* A blob wraps an engine image that {!I.thaw} decodes unchecked, so it
-   carries the engine's version: a blob written under an older engine
-   layout is a [Bad_version] cold start, never a bad decode. *)
-let blob_version = C.Engine.snapshot_version
+(* A blob is an {!I.freeze} image: a frozen serve state that {!I.thaw}
+   decodes unchecked, around an engine image, with the fingerprints later
+   edits are diffed against.  Its version moves with the engine's (the
+   hundreds) and with the frozen record or the fingerprint scheme (the
+   units, bumped by hand), so a blob written under any other layout is a
+   [Bad_version] cold start, never a bad decode or a stale strategy.
+   Units 1: fingerprints walk the IR, spans included. *)
+let blob_version = (100 * C.Engine.snapshot_version) + 1
 let snap_path dir = Filename.concat dir "serve.snap"
 let journal_path dir = Filename.concat dir "journal.jsonl"
 let blob_dir dir = Filename.concat dir "blobs"

@@ -70,5 +70,11 @@ val wants_shutdown : t -> bool
 val generation : t -> int
 val state : t -> Incremental.state option
 
+val blob_version : int
+(** The {!C.Snapshot} schema version of the state dir's blobs.  It
+    changes with {!C.Engine.snapshot_version} and with the frozen serve
+    state or its fingerprint scheme, so a state dir written under another
+    layout resumes as a logged cold start. *)
+
 val finalize : t -> unit
 (** Final snapshot, journal flush and close.  Idempotent. *)

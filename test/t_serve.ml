@@ -304,6 +304,86 @@ let test_incremental_verified_flag () =
       Alcotest.(check bool) "redrain is certified" true o.I.o_verified
   | Error e -> Alcotest.failf "analyze: %s" (P.error_message e)
 
+(* A reuse adopts the edited program: a later redrain into the edited,
+   formerly dead method builds its new body, not the pre-edit one. *)
+let test_redrain_after_reuse () =
+  let memo = I.Memo.create 4 in
+  let step label expect = function
+    | Error e -> Alcotest.failf "%s: %s" label (P.error_message e)
+    | Ok (o : I.outcome) ->
+        Alcotest.(check string) label expect (I.strategy_name o.I.o_strategy);
+        List.iter (I.Memo.add memo) o.I.o_memo_adds;
+        o.I.o_state
+  in
+  let st =
+    step "initial solve" "full"
+      (I.solve_full ~config ~deadline_ms:None ~generation:0 ~source:base_src
+         ~roots:[] ())
+  in
+  let st =
+    step "dead-body edit" "reuse"
+      (I.edit ~config ~deadline_ms:None ~memo st ~source:dead_edit)
+  in
+  let roots = [ "Main.main"; "Dead.never" ] in
+  let st =
+    step "grown roots" "redrain"
+      (I.analyze_roots ~config ~deadline_ms:None ~memo st ~roots)
+  in
+  match I.same_fixed_point st.I.engine (fresh_engine ~source:dead_edit ~roots) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "redrain after reuse diverged: %s" msg
+
+(* Method fingerprints are a function of the source: two compiles agree,
+   and each kind of edit changes the edited method's hash and no other. *)
+let fingerprint_src =
+  "class A { var int f; }\n\
+   class B { var int f; }\n\
+   class Main {\n\
+  \  static void main() {\n\
+  \    int x = Main.k();\n\
+  \    int y = Main.cmp(x, 2);\n\
+  \    int z = Main.get();\n\
+  \  }\n\
+  \  static int k() {\n\
+  \    return 7;\n\
+  \  }\n\
+  \  static int cmp(int a, int b) {\n\
+  \    if (a < b) { return 1; }\n\
+  \    return 0;\n\
+  \  }\n\
+  \  static int get() {\n\
+  \    A o = new A();\n\
+  \    return o.f;\n\
+  \  }\n\
+   }\n"
+
+let test_fingerprints_track_edits () =
+  let hashes source =
+    match Api.compile (`Text source) with
+    | Ok (prog, _) -> I.meth_fingerprints prog
+    | Error _ -> Alcotest.failf "does not compile:\n%s" source
+  in
+  let base = hashes fingerprint_src in
+  Alcotest.(check (list (pair string string)))
+    "two compiles agree" base (hashes fingerprint_src);
+  List.iter
+    (fun (label, sub, by, meth) ->
+      let edited = hashes (replace ~sub ~by fingerprint_src) in
+      Alcotest.(check (list string))
+        (label ^ ": same methods") (List.map fst base) (List.map fst edited);
+      let changed =
+        List.filter_map
+          (fun ((n, h), (_, h')) -> if String.equal h h' then None else Some n)
+          (List.combine base edited)
+      in
+      Alcotest.(check (list string)) (label ^ ": changed") [ meth ] changed)
+    [
+      ("constant", "return 7;", "return 8;", "Main.k");
+      ("column shift", "    return 7;", "     return 7;", "Main.k");
+      ("flipped comparison", "a < b", "a > b", "Main.cmp");
+      ("field of another class", "A o = new A();", "B o = new B();", "Main.get");
+    ]
+
 (* --------------------------- server behavior --------------------------- *)
 
 let quiet_cfg = { Sv.default_cfg with Sv.sv_log = (fun _ -> ()) }
@@ -651,7 +731,7 @@ let test_v1_snapshot_cold_start () =
       check_logged_cold_start dir)
 
 (* A valid manifest whose resident blob was written under an older
-   engine layout: the blob's version gives it away before its image is
+   layout: the blob's version gives it away before its image is
    decoded, so the daemon logs a cold start and serves. *)
 let test_stale_blob_cold_start () =
   with_state_dir (fun dir ->
@@ -663,7 +743,7 @@ let test_stale_blob_cold_start () =
         | [ name ], _ -> Filename.concat (blobs_dir dir) (name ^ ".blob")
         | _ -> Alcotest.fail "expected one referenced blob"
       in
-      let version = C.Engine.snapshot_version in
+      let version = Sv.blob_version in
       (match
          Result.bind
            (C.Snapshot.read ~path:blob ~kind:"serve-blob" ~version)
@@ -673,6 +753,37 @@ let test_stale_blob_cold_start () =
       | Error e -> Alcotest.failf "restamp: %s" (C.Snapshot.error_message e));
       Sys.remove (Filename.concat dir "journal.jsonl");
       check_logged_cold_start dir)
+
+(* An edit that only moves code is a full solve, so positions in a
+   following lint are the edited source's, as in a fresh lint. *)
+let test_lint_after_line_shift () =
+  let base =
+    In_channel.with_open_bin "../examples/lint_demo.mj" In_channel.input_all
+  in
+  let shifted = "\n\n" ^ base in
+  let result j =
+    match K.Json.member "result" j with
+    | Some r -> r
+    | None -> Alcotest.fail "response has no result"
+  in
+  let srv = create_exn ~resume:false quiet_cfg in
+  ignore (Sv.handle_line srv (edit_req 1 base));
+  let j = one_response (Sv.handle_line srv (edit_req 2 shifted)) in
+  Alcotest.(check string) "a line-shifting edit" "full"
+    (str_member "strategy" (result j));
+  let lint = result (one_response (Sv.handle_line srv (op_req 3 "lint"))) in
+  let served =
+    match K.Json.member "findings" lint with
+    | Some f -> K.Json.to_compact_string f
+    | None -> Alcotest.fail "lint response has no findings"
+  in
+  let engine = fresh_engine ~source:shifted ~roots:[] in
+  let roots = Result.get_ok (Api.resolve_roots (C.Engine.prog_of engine) []) in
+  let fresh = K.Checks.run (K.Checks.make_ctx ~engine ~roots) in
+  Alcotest.(check bool) "the demo has findings" true (fresh <> []);
+  Alcotest.(check string) "findings match a fresh lint"
+    (K.Json.to_compact_string (K.Finding.list_to_json fresh))
+    served
 
 (* A snapshot that fails (disk full) leaves the resident state marked
    dirty, so the next request retries it — even a read. *)
@@ -701,6 +812,10 @@ let suite =
         `Quick test_incremental_matches_fresh;
       Alcotest.test_case "reuse and redrain are certified" `Quick
         test_incremental_verified_flag;
+      Alcotest.test_case "a redrain after a reuse solves the edited body"
+        `Quick test_redrain_after_reuse;
+      Alcotest.test_case "fingerprints change with the edited method only"
+        `Quick test_fingerprints_track_edits;
       Alcotest.test_case "structured errors, daemon survives them all" `Quick
         test_server_structured_errors;
       Alcotest.test_case "deadline trips roll the resident state back" `Quick
@@ -723,4 +838,6 @@ let suite =
         test_stale_blob_cold_start;
       Alcotest.test_case "a failed snapshot is retried by the next request"
         `Quick test_failed_snapshot_retried;
+      Alcotest.test_case "lint after a line-shifting edit matches a fresh lint"
+        `Quick test_lint_after_line_shift;
     ] )

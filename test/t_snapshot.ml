@@ -320,6 +320,14 @@ let test_snapshot_disk_round_trip () =
         | Ok e -> e
         | Error e -> Alcotest.failf "load: %s" (C.Snapshot.error_message e)
       in
+      (* an image binds only to a program with its ids: another one is a
+         reported error, not an out-of-bounds read *)
+      (match
+         C.Engine.of_snapshot_bytes ~prog:(Program.create ())
+           (C.Engine.snapshot_bytes paused.C.Analysis.engine)
+       with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.fail "image bound to a program with other ids");
       (* the restored engine continues the paused run's accounting … *)
       let before = (C.Engine.stats paused.C.Analysis.engine).C.Engine.tasks_processed in
       (match C.Engine.run restored with
