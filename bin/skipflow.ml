@@ -173,6 +173,8 @@ let phases_json trace =
              ("wall_us", K.Json.Int p.C.Trace.ph_wall_us);
              ("cpu_us", K.Json.Int p.C.Trace.ph_cpu_us);
              ("count", K.Json.Int p.C.Trace.ph_count);
+             ("minor_words", K.Json.Int p.C.Trace.ph_minor_words);
+             ("promoted_words", K.Json.Int p.C.Trace.ph_promoted_words);
            ])
        (C.Trace.phases trace))
 

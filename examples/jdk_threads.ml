@@ -56,7 +56,7 @@ let dump prog engine qname =
         | None -> Printf.printf "--- %s: UNREACHABLE ---\n" qname
         | Some g ->
             Printf.printf "--- %s ---\n" qname;
-            List.iter
+            Array.iter
               (fun (f : C.Flow.t) ->
                 Format.printf "  %-14s %-8s VS=%a@."
                   (C.Flow.kind_name f)

@@ -127,7 +127,7 @@ let impossible_cast_findings ctx =
   List.iter
     (fun (g : Graph.method_graph) ->
       let meth = qname ctx g.Graph.g_meth.Program.m_id in
-      List.iter
+      Array.iter
         (fun (f : Flow.t) ->
           match f.Flow.kind with
           | Flow.Cast cls when f.Flow.enabled -> (
@@ -175,7 +175,7 @@ let null_deref_findings ctx =
         if fld.Program.f_name = Program.elem_field_name then "array " ^ verb
         else Printf.sprintf "%s of field '%s'" verb fld.Program.f_name
       in
-      List.iter
+      Array.iter
         (fun (f : Flow.t) ->
           if f.Flow.enabled then
             match f.Flow.kind with

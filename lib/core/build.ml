@@ -35,9 +35,9 @@ type ctx = {
   field_flow : Ids.Field.t -> Flow.t;
       (** the engine's global per-field flow; used to link static field
           accesses at construction time (no receiver to observe) *)
-  trace : Trace.t;
-      (** the run's counter registry; construction volume is accounted
-          under the ["build."] counters *)
+  c_methods : Trace.counter;  (** [build.methods] *)
+  c_flows : Trace.counter;  (** [build.flows] *)
+  c_edges : Trace.counter;  (** [build.edges] *)
 }
 
 module VarMap = Map.Make (Int)
@@ -64,48 +64,33 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         invalid_arg
           (Printf.sprintf "Build.run: method %s has no body" meth.Program.m_name)
   in
-  let c_methods = Trace.counter ctx.trace "build.methods"
-  and c_flows = Trace.counter ctx.trace "build.flows"
-  and c_edges = Trace.counter ctx.trace "build.edges" in
-  Trace.incr c_methods;
+  Trace.incr ctx.c_methods;
   let emit = ctx.emit in
-  let use_edge s t = Trace.incr c_edges; Edges.use_edge ~emit s t in
-  let pred_edge s t = Trace.incr c_edges; Edges.pred_edge ~emit s t in
-  let obs_edge s t = Trace.incr c_edges; Edges.obs_edge ~emit s t in
-  let return_flow =
-    Flow.make ~meth:meth.Program.m_id ?span:meth.Program.m_span Flow.Return
-  in
-  let g : Graph.method_graph =
-    {
-      g_meth = meth;
-      g_body = body;
-      g_params = [];
-      g_return = return_flow;
-      g_flows = [ return_flow ];
-      g_branches = [];
-      g_invokes = [];
-      g_defs = [||];
-    }
-  in
+  let use_edge s t = Trace.incr ctx.c_edges; Edges.use_edge ~emit s t in
+  let pred_edge s t = Trace.incr ctx.c_edges; Edges.pred_edge ~emit s t in
+  let obs_edge s t = Trace.incr ctx.c_edges; Edges.obs_edge ~emit s t in
+  (* every flow of the method shares this one option *)
+  let meth_id = Some meth.Program.m_id in
+  let return_flow = Flow.make ?meth:meth_id ?span:meth.Program.m_span Flow.Return in
+  (* newest first; the graph stores creation order *)
+  let flows = ref [ return_flow ] and invokes = ref [] in
   let register f =
-    Trace.incr c_flows;
-    g.g_flows <- f :: g.g_flows;
-    (match f.Flow.kind with Flow.Invoke _ -> g.g_invokes <- f :: g.g_invokes | _ -> ());
+    Trace.incr ctx.c_flows;
+    flows := f :: !flows;
+    (match f.Flow.kind with Flow.Invoke _ -> invokes := f :: !invokes | _ -> ());
     f
   in
-  let mk ?filter ?span kind =
-    register (Flow.make ~meth:meth.Program.m_id ?span ?filter kind)
-  in
+  let mk ?filter ?span kind = register (Flow.make ?meth:meth_id ?span ?filter kind) in
   (* canonical defining flow per SSA variable *)
-  let def : Flow.t option array = Array.make body.Bl.var_count None in
-  let set_def v f = def.(Ids.Var.to_int v) <- Some f in
+  let def = Array.make body.Bl.var_count Flow.none in
+  let set_def v f = def.(Ids.Var.to_int v) <- f in
   let def_flow v =
-    match def.(Ids.Var.to_int v) with
-    | Some f -> f
-    | None ->
-        invalid_arg
-          (Printf.sprintf "Build.run: variable v%d has no defining flow"
-             (Ids.Var.to_int v))
+    let f = def.(Ids.Var.to_int v) in
+    if Flow.is_none f then
+      invalid_arg
+        (Printf.sprintf "Build.run: variable v%d has no defining flow"
+           (Ids.Var.to_int v));
+    f
   in
   (* per-block states, created lazily (merges are touched by [propagate]
      before they are visited) *)
@@ -164,7 +149,6 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         f)
       body.Bl.params
   in
-  g.Graph.g_params <- param_flows;
   (* ------------------------- propagate (Fig. 13) --------------------- *)
   let propagate (b : block_state) (src : Bl.block) (tgt : Ids.Block.t) =
     let ts = get_merge_state tgt in
@@ -216,7 +200,7 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         let f =
           mk ?span
             ~filter:(Flow.Instanceof { mask = Masks.sub ctx.masks cls; negated; cls })
-            (Flow.Filter { check = Flow.Type_check; branch_then = not negated })
+            (Flow.filter_kind Flow.Type_check ~branch_then:(not negated))
         in
         pred_edge b.cur_pred f;
         use_edge (lookup b x) f;
@@ -233,7 +217,7 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         let f_l =
           mk ?span
             ~filter:(Flow.Compare { op; other = rf })
-            (Flow.Filter { check; branch_then = not negated })
+            (Flow.filter_kind check ~branch_then:(not negated))
         in
         pred_edge b.cur_pred f_l;
         use_edge lf f_l;
@@ -241,7 +225,7 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         let f_r =
           mk ?span
             ~filter:(Flow.Compare { op = Vstate.flip op; other = lf })
-            (Flow.Filter { check; branch_then = not negated })
+            (Flow.filter_kind check ~branch_then:(not negated))
         in
         pred_edge f_l f_r;
         use_edge rf f_r;
@@ -253,11 +237,12 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
     ts.cur_pred
   in
   (* ------------------------ instructions (Fig. 12) ------------------- *)
-  let source_value (e : Bl.expr) =
+  let source_kind (e : Bl.expr) =
     match e with
-    | Bl.Const n -> if ctx.config.Config.primitives then Vstate.const n else Vstate.any
-    | Bl.Null -> Vstate.null
-    | Bl.Arith _ | Bl.AnyInt -> Vstate.any
+    | Bl.Const n ->
+        if ctx.config.Config.primitives then Flow.source_const n else Flow.source_any
+    | Bl.Null -> Flow.source_null
+    | Bl.Arith _ | Bl.AnyInt -> Flow.source_any
     | Bl.New _ | Bl.NewArr _ -> assert false
   in
   let process_insn (b : block_state) ~span (i : Bl.insn) =
@@ -286,14 +271,14 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         let f =
           mk ?span
             ~filter:(Flow.Arith { op; l = lf; r = rf })
-            (Flow.Source Vstate.empty)
+            Flow.source_empty
         in
         pred_edge b.cur_pred f;
         obs_edge lf f;
         obs_edge rf f;
         set_def v f
     | Bl.Assign (v, e) ->
-        let f = mk ?span (Flow.Source (source_value e)) in
+        let f = mk ?span (source_kind e) in
         pred_edge b.cur_pred f;
         set_def v f
     | Bl.Load { dst; recv; field } ->
@@ -338,7 +323,7 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         obs_edge rf f
     | Bl.ArrLen { dst; arr = _ } ->
         (* array lengths are opaque primitives (Any) *)
-        let f = mk ?span (Flow.Source Vstate.any) in
+        let f = mk ?span Flow.source_any in
         pred_edge b.cur_pred f;
         set_def dst f
     | Bl.Cast { dst; src; cls } ->
@@ -433,8 +418,13 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
       walk blk.Bl.b_insns blk.Bl.b_spans;
       process_term b blk)
     (Bl.reverse_postorder body);
-  g.Graph.g_branches <- List.rev !branches;
-  g.Graph.g_flows <- List.rev g.Graph.g_flows;
-  g.Graph.g_invokes <- List.rev g.Graph.g_invokes;
-  g.Graph.g_defs <- def;
-  g
+  {
+    Graph.g_meth = meth;
+    g_body = body;
+    g_params = param_flows;
+    g_return = return_flow;
+    g_flows = Array.of_list (List.rev !flows);
+    g_branches = List.rev !branches;
+    g_invokes = List.rev !invokes;
+    g_defs = def;
+  }

@@ -2,12 +2,15 @@
     value propagation graph (paper Section 4, Figures 7–8).
 
     {!run} is called by the engine each time a method becomes reachable —
-    as a root, or when an invoke links it.  The context carries the
-    engine-owned pieces construction needs: the global always-on
-    predicate, the per-field global flows, the emit callback that
-    schedules work for every edge drawn, and the run's {!Trace.t}, into
-    which construction volume is accounted under the ["build."]
-    counters ([build.methods], [build.flows], [build.edges]). *)
+    as a root, or when an invoke links it.  The context, built once per
+    engine, carries the engine-owned pieces construction needs: the
+    global always-on predicate, the per-field global flows, the emit
+    callback that schedules work for every edge drawn, and the run's
+    ["build."] counters, into which construction volume is accounted.
+
+    The graph shares what it can: every flow of a method carries one
+    [Some m_id], constant and branch flows take the shared kinds of
+    {!Flow}, and the flow and definition tables are arrays. *)
 
 open Skipflow_ir
 
@@ -21,9 +24,10 @@ type ctx = {
   field_flow : Ids.Field.t -> Flow.t;
       (** the engine's global per-field flow; used to link static field
           accesses at construction time (no receiver to observe) *)
-  trace : Trace.t;
-      (** the run's counter registry; construction volume is accounted
-          under the ["build."] counters *)
+  c_methods : Trace.counter;  (** [build.methods]: graphs built *)
+  c_flows : Trace.counter;
+      (** [build.flows]: flows created, the return flow excluded *)
+  c_edges : Trace.counter;  (** [build.edges]: edges drawn *)
 }
 
 val run : ctx -> Program.meth -> Graph.method_graph

@@ -75,7 +75,7 @@ let emit_graph prog ppf (graphs : Graph.method_graph list) =
       Format.fprintf ppf "  subgraph cluster_%d {@\n    label=\"%s\";@\n"
         (Ids.Meth.to_int g.Graph.g_meth.Program.m_id)
         (escape (Program.qualified_name prog g.Graph.g_meth.Program.m_id));
-      List.iter node g.Graph.g_flows;
+      Array.iter node g.Graph.g_flows;
       Format.fprintf ppf "  }@\n")
     graphs;
   (* second pass: edges (and any global flows they touch) *)
@@ -88,8 +88,8 @@ let emit_graph prog ppf (graphs : Graph.method_graph list) =
         end)
       (f.Flow.uses @ f.Flow.pred_out @ f.Flow.observers)
   in
-  List.iter (fun g -> List.iter close g.Graph.g_flows) graphs;
-  List.iter (fun g -> List.iter edges g.Graph.g_flows) graphs;
+  List.iter (fun g -> Array.iter close g.Graph.g_flows) graphs;
+  List.iter (fun g -> Array.iter edges g.Graph.g_flows) graphs;
   Format.fprintf ppf "}@\n"
 
 let to_string prog graphs = Format.asprintf "%a" (emit_graph prog) graphs

@@ -28,10 +28,6 @@ type emit = {
   notify : Flow.t -> unit;  (** schedule the observer's flow-specific action *)
 }
 
-(** An emit that drops everything; placeholder while an engine ties the
-    knot between its record and its emit closures. *)
-let null_emit = { input = (fun _ _ -> ()); enable = ignore; notify = ignore }
-
 let use_edge ~(emit : emit) (s : Flow.t) (t : Flow.t) =
   s.Flow.uses <- t :: s.Flow.uses;
   if s.Flow.enabled && not (Vstate.is_empty s.Flow.state) then

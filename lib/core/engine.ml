@@ -96,6 +96,9 @@ type counters = {
   c_build_us : Trace.counter;
       (** wall time spent constructing PVPGs, accumulated across every
           {!Build.run} call (only ticks when the trace has timers on) *)
+  c_build_methods : Trace.counter;
+  c_build_flows : Trace.counter;
+  c_build_edges : Trace.counter;
 }
 
 let register_counters tr =
@@ -115,6 +118,9 @@ let register_counters tr =
     c_trip_tasks = Trace.counter tr "engine.trip_tasks";
     c_trip_flows = Trace.counter tr "engine.trip_flows";
     c_build_us = Trace.counter tr "build.wall_us";
+    c_build_methods = Trace.counter tr "build.methods";
+    c_build_flows = Trace.counter tr "build.flows";
+    c_build_edges = Trace.counter tr "build.edges";
   }
 
 type t = {
@@ -126,7 +132,8 @@ type t = {
   c : counters;
   wl : Worklist.t;  (** the deduplicated ring of dirty flows *)
   rqueue : rtask Queue.t;  (** reference-mode boxed FIFO *)
-  mutable emit : Edges.emit;  (** this engine's scheduling hooks (knot-tied in {!thaw}) *)
+  emit : Edges.emit;  (** this engine's scheduling hooks (knot-tied in {!thaw}) *)
+  build : Build.ctx;  (** the construction context, shared by every {!Build.run} *)
   graphs : Graph.method_graph Ids.Meth.Tbl.t;
   mutable reachable_order : Program.meth list;  (** reverse discovery order *)
   mutable roots : Ids.Meth.Set.t;  (** methods registered via {!add_root} *)
@@ -412,20 +419,7 @@ and ensure_reachable t (m : Program.meth) =
   match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
   | Some g -> g
   | None ->
-      let g =
-        Trace.timed t.trace t.c.c_build_us (fun () ->
-            Build.run
-              {
-                Build.prog = t.prog;
-                config = t.config;
-                masks = t.masks;
-                pred_on = t.pred_on;
-                emit = t.emit;
-                field_flow = field_flow t;
-                trace = t.trace;
-              }
-              m)
-      in
+      let g = Trace.timed t.trace t.c.c_build_us (fun () -> Build.run t.build m) in
       Ids.Meth.Tbl.replace t.graphs m.Program.m_id g;
       t.reachable_order <- m :: t.reachable_order;
       Trace.add t.c.c_live_flows (Graph.flow_count g);
@@ -434,11 +428,11 @@ and ensure_reachable t (m : Program.meth) =
           ~arg:(Graph.flow_count g) ();
       (* Degradation mode: methods discovered after the budget tripped are
          coarsened on arrival, like everything built before the trip. *)
-      if t.degraded then List.iter (degrade_flow t) g.Graph.g_flows
+      if t.degraded then Array.iter (degrade_flow t) g.Graph.g_flows
       else if not t.config.Config.predicates then
         (* Baseline configuration: no predicate edges — every flow of a
            reachable method propagates unconditionally. *)
-        List.iter (fun f -> emit_enable t f) g.Graph.g_flows;
+        Array.iter (fun f -> emit_enable t f) g.Graph.g_flows;
       g
 
 and link_callee t (inv_flow : Flow.t) (inv : Flow.invoke_site) (callee : Program.meth) =
@@ -626,7 +620,7 @@ let degrade t (trip : Budget.trip) =
     List.iter
       (fun (m : Program.meth) ->
         match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
-        | Some g -> List.iter (degrade_flow t) g.Graph.g_flows
+        | Some g -> Array.iter (degrade_flow t) g.Graph.g_flows
         | None -> ())
       t.reachable_order
   end
@@ -636,10 +630,11 @@ let degrade t (trip : Budget.trip) =
 (** The marshalable image of an engine: every piece of [t] except the
     trace registry (counters travel as a name/value list), the
     worklist/queue containers (pending work travels as the flows / boxed
-    tasks themselves, dirty bits intact), and the [emit] closures
-    (re-tied by {!thaw}).  Flow ids are process-global, so the image also
-    records the id counter; {!of_snapshot_bytes} bumps {!Flow.next_id} so
-    ids minted after a resume never collide with snapshotted ones. *)
+    tasks themselves, dirty bits intact), and the [emit] closures and
+    construction context (re-tied by {!thaw}).  Flow ids are
+    process-global, so the image also records the id counter;
+    {!of_snapshot_bytes} bumps {!Flow.next_id} so ids minted after a
+    resume never collide with snapshotted ones. *)
 type frozen = {
   fz_prog : Program.t;
   fz_config : Config.t;
@@ -672,17 +667,20 @@ let thaw ?trace ?budget wl fz =
     | Some b -> { fz.fz_config with Config.budget = b }
   in
   ignore (Program.freeze fz.fz_prog);
-  let t =
+  let masks = Masks.compute fz.fz_prog and c = register_counters trace in
+  (* the knot: [emit] and [build] close over the engine they belong to *)
+  let rec t =
     {
       prog = fz.fz_prog;
       config;
-      masks = Masks.compute fz.fz_prog;
+      masks;
       mode = fz.fz_mode;
       trace;
-      c = register_counters trace;
+      c;
       wl;
       rqueue = Queue.create ();
-      emit = Edges.null_emit;
+      emit;
+      build;
       graphs = fz.fz_graphs;
       reachable_order = fz.fz_reachable_order;
       roots = fz.fz_roots;
@@ -699,9 +697,25 @@ let thaw ?trace ?budget wl fz =
       pause = None;
       links_at_task = 0;
     }
+  and emit =
+    {
+      Edges.input = (fun f v -> emit_input t f v);
+      enable = (fun f -> emit_enable t f);
+      notify = (fun f -> emit_notify t f);
+    }
+  and build =
+    {
+      Build.prog = fz.fz_prog;
+      config;
+      masks;
+      pred_on = fz.fz_pred_on;
+      emit;
+      field_flow = (fun fid -> field_flow t fid);
+      c_methods = c.c_build_methods;
+      c_flows = c.c_build_flows;
+      c_edges = c.c_build_edges;
+    }
   in
-  t.emit <-
-    { Edges.input = emit_input t; enable = emit_enable t; notify = emit_notify t };
   (* a restored run's counters continue from the snapshotted values *)
   List.iter
     (fun (name, v) -> if v <> 0 then Trace.add (Trace.counter trace name) v)
@@ -767,10 +781,10 @@ let snapshot_bytes t = Marshal.to_string (capture t) []
 
 let snapshot_kind = "engine-state"
 
-(* v5: the image lost the worklist base along with the worklist's
-   id-indexed side table; v4 images carry it and are refused as a
-   version mismatch *)
-let snapshot_version = 5
+(* v6: graphs hold their flows and SSA definitions in arrays (undefined
+   slots are {!Flow.none}); v5 images carry lists and options and are
+   refused as a version mismatch *)
+let snapshot_version = 6
 
 (* Point a decoded image at [prog], another compile of the same program:
    the program itself, every graph's method and body, and the discovery
@@ -1032,7 +1046,7 @@ let run ?random_order ?(on_budget = `Degrade) t =
       let field_links = ref 0 in
       Ids.Meth.Tbl.iter
         (fun _ g ->
-          List.iter
+          Array.iter
             (fun (f : Flow.t) ->
               match f.Flow.kind with
               | Flow.Field_load fa | Flow.Field_store fa ->
@@ -1048,7 +1062,7 @@ let run ?random_order ?(on_budget = `Degrade) t =
       List.iter
         (fun (m : Program.meth) ->
           match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
-          | Some g -> List.iter (fun f -> notify t f) g.Graph.g_flows
+          | Some g -> Array.iter (fun f -> notify t f) g.Graph.g_flows
           | None -> ())
         t.reachable_order;
       drain ();

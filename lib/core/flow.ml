@@ -128,10 +128,9 @@ let wk_notify = 8  (** an observed flow changed; re-run the flow action *)
 
 let next_id = ref 0
 
-let make ?meth ?span ?(filter = No_filter) kind =
-  incr next_id;
+let blank id kind meth span filter =
   {
-    id = !next_id;
+    id;
     kind;
     meth;
     span;
@@ -145,6 +144,43 @@ let make ?meth ?span ?(filter = No_filter) kind =
     saturated = false;
     work = 0;
   }
+
+let make ?meth ?span ?(filter = No_filter) kind =
+  incr next_id;
+  blank !next_id kind meth span filter
+
+(** The "no flow" placeholder of flow arrays (a graph's undefined
+    [g_defs] slots).  It carries id 0, which {!make} never mints, and is
+    recognized by that id, not physically, so a thawed copy still
+    reads as undefined. *)
+let none = blank 0 Phi None None No_filter
+
+let is_none f = f.id = 0
+
+(** {2 Shared kinds}
+
+    [Source] and [Filter] payloads are immutable, so flows of the same
+    constant or the same branch shape share one kind value instead of
+    boxing their own. *)
+
+let source_empty = Source Vstate.empty
+let source_any = Source Vstate.any
+let source_null = Source Vstate.null
+
+(** [Source (Vstate.const n)], shared for {!Prim.interned} [n]. *)
+let source_const = Prim.interning (fun n -> Source (Vstate.const n))
+
+let filter_kinds =
+  Array.of_list
+    (List.concat_map
+       (fun check ->
+         [ Filter { check; branch_then = false }; Filter { check; branch_then = true } ])
+       [ Type_check; Null_check; Prim_check ])
+
+(** [Filter { check; branch_then }], one shared value per pair. *)
+let filter_kind check ~branch_then =
+  let c = match check with Type_check -> 0 | Null_check -> 1 | Prim_check -> 2 in
+  filter_kinds.((2 * c) + Bool.to_int branch_then)
 
 let apply_filter ~pval (f : t) (v : Vstate.t) =
   match f.filter with

@@ -29,15 +29,16 @@ type branch_site = {
 type method_graph = {
   g_meth : Program.meth;
   g_body : Bl.body;
-  mutable g_params : Flow.t list;  (** receiver first for instance methods *)
+  g_params : Flow.t list;  (** receiver first for instance methods *)
   g_return : Flow.t;
-  mutable g_flows : Flow.t list;  (** every flow of this method *)
-  mutable g_branches : branch_site list;
-  mutable g_invokes : Flow.t list;  (** flows with [Flow.Invoke] kind *)
-  mutable g_defs : Flow.t option array;
-      (** canonical defining flow per SSA variable (index = variable id);
-          used by tests to compare fixed-point value states against
-          concretely observed values *)
+  g_flows : Flow.t array;  (** every flow of this method, in creation order *)
+  g_branches : branch_site list;
+  g_invokes : Flow.t list;  (** flows with [Flow.Invoke] kind *)
+  g_defs : Flow.t array;
+      (** canonical defining flow per SSA variable (index = variable id),
+          {!Flow.none} where a variable has none; used by tests to
+          compare fixed-point value states against concretely observed
+          values *)
 }
 
 val flow_count : method_graph -> int

@@ -7,7 +7,10 @@ type t = Bot | Itv of { lo : int option; hi : int option }
 
 let bot = Bot
 let top = Itv { lo = None; hi = None }
-let singleton n = Itv { lo = Some n; hi = Some n }
+(* both bounds share one [Some n] box *)
+let singleton n =
+  let b = Some n in
+  Itv { lo = b; hi = b }
 
 let of_bounds lo hi =
   match (lo, hi) with

@@ -6,7 +6,20 @@ type rel = Lt | Le | Gt | Ge
 
 let bot = { c = Pval.Bot; itv = Interval.bot }
 let top = { c = Pval.Top; itv = Interval.top }
-let const n = { c = Pval.Const n; itv = Interval.singleton n }
+(* A PVPG holds one constant state per literal, and booleans, flags and
+   small counters repeat across every method: values built from a
+   constant in this range are preallocated once. *)
+let interned_min = -128
+let interned_max = 1023
+let interned n = interned_min <= n && n <= interned_max
+
+let interning mk =
+  let table =
+    Array.init (interned_max - interned_min + 1) (fun i -> mk (interned_min + i))
+  in
+  fun n -> if interned n then table.(n - interned_min) else mk n
+
+let const = interning (fun n -> { c = Pval.Const n; itv = Interval.singleton n })
 
 let reduce c itv =
   if Pval.is_bot c || Interval.is_bot itv then bot

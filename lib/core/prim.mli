@@ -24,7 +24,19 @@ type rel = Lt | Le | Gt | Ge
 
 val bot : t
 val top : t
+
 val const : int -> t
+(** The singleton [{n}], physically shared for {!interned} [n], so the
+    constants a graph repeats cost no allocation. *)
+
+val interned : int -> bool
+(** The small constants (booleans, flags, counters: -128..1023) whose
+    values are preallocated. *)
+
+val interning : (int -> 'a) -> int -> 'a
+(** [interning mk] behaves as [mk], but returns one preallocated
+    [mk n] for every {!interned} [n]; [mk] must build an immutable
+    value. *)
 
 (** Canonicalize a component pair (see the module doc). *)
 val reduce : Pval.t -> Interval.t -> t

@@ -33,6 +33,8 @@ type phase = {
   ph_cpu_us : int;
   ph_count : int;
   ph_first_start_us : int;
+  ph_minor_words : int;
+  ph_promoted_words : int;
 }
 
 (* internal accumulating representation *)
@@ -43,6 +45,8 @@ type phase_acc = {
   mutable pa_cpu_us : int;
   mutable pa_count : int;
   pa_first_start_us : int;
+  mutable pa_minor_words : int;
+  mutable pa_promoted_words : int;
 }
 
 type event = {
@@ -122,17 +126,24 @@ let phase_acc t name =
           pa_cpu_us = 0;
           pa_count = 0;
           pa_first_start_us = now_us t;
+          pa_minor_words = 0;
+          pa_promoted_words = 0;
         }
       in
       Hashtbl.replace t.phases_tbl key p;
       t.phases_rev <- p :: t.phases_rev;
       p
 
+(* [Gc.minor_words] counts the current minor heap too; the promoted
+   total only moves at a minor collection, so [quick_stat] is exact for it *)
+let promoted_words () = (Gc.quick_stat ()).Gc.promoted_words
+
 let with_phase t name f =
   if not t.tr_timers then f ()
   else begin
     let p = phase_acc t name in
     let w0 = Unix.gettimeofday () and c0 = Sys.time () in
+    let m0 = Gc.minor_words () and p0 = promoted_words () in
     t.depth <- t.depth + 1;
     Fun.protect
       ~finally:(fun () ->
@@ -140,6 +151,9 @@ let with_phase t name f =
         p.pa_wall_us <- p.pa_wall_us + elapsed_us w0;
         p.pa_cpu_us <-
           p.pa_cpu_us + int_of_float (Float.max 0.0 (Sys.time () -. c0) *. 1e6);
+        p.pa_minor_words <- p.pa_minor_words + int_of_float (Gc.minor_words () -. m0);
+        p.pa_promoted_words <-
+          p.pa_promoted_words + int_of_float (promoted_words () -. p0);
         p.pa_count <- p.pa_count + 1)
       f
   end
@@ -154,6 +168,8 @@ let phases t =
         ph_cpu_us = p.pa_cpu_us;
         ph_count = p.pa_count;
         ph_first_start_us = p.pa_first_start_us;
+        ph_minor_words = p.pa_minor_words;
+        ph_promoted_words = p.pa_promoted_words;
       })
     t.phases_rev
 
@@ -258,8 +274,9 @@ let chrome_string ?(meth_name = default_meth_name) t =
       Buffer.add_string b "{\"name\": ";
       escape b p.ph_name;
       Printf.bprintf b
-        ", \"ph\": \"X\", \"ts\": %d, \"dur\": %d, \"pid\": 1, \"tid\": %d, \"args\": {\"count\": %d, \"cpu_us\": %d}}"
-        p.ph_first_start_us p.ph_wall_us (1 + p.ph_depth) p.ph_count p.ph_cpu_us)
+        ", \"ph\": \"X\", \"ts\": %d, \"dur\": %d, \"pid\": 1, \"tid\": %d, \"args\": {\"count\": %d, \"cpu_us\": %d, \"minor_words\": %d, \"promoted_words\": %d}}"
+        p.ph_first_start_us p.ph_wall_us (1 + p.ph_depth) p.ph_count p.ph_cpu_us
+        p.ph_minor_words p.ph_promoted_words)
     (phases t);
   List.iter
     (fun ev ->
@@ -286,15 +303,18 @@ let write_chrome ?meth_name t path =
 (* ----------------------------- pretty print --------------------------- *)
 
 let pp_phases ppf t =
-  Format.fprintf ppf "@[<v>%-24s %10s %10s %7s@," "phase" "wall[ms]" "cpu[ms]" "count";
+  Format.fprintf ppf "@[<v>%-24s %10s %10s %7s %10s %10s@," "phase" "wall[ms]" "cpu[ms]"
+    "count" "minor[Mw]" "promo[Mw]";
   List.iter
     (fun p ->
       let indent = String.make (2 * p.ph_depth) ' ' in
-      Format.fprintf ppf "%-24s %10.3f %10.3f %7d@,"
+      Format.fprintf ppf "%-24s %10.3f %10.3f %7d %10.3f %10.3f@,"
         (indent ^ p.ph_name)
         (float_of_int p.ph_wall_us /. 1000.)
         (float_of_int p.ph_cpu_us /. 1000.)
-        p.ph_count)
+        p.ph_count
+        (float_of_int p.ph_minor_words /. 1e6)
+        (float_of_int p.ph_promoted_words /. 1e6))
     (phases t);
   Format.fprintf ppf "@]"
 

@@ -8,8 +8,9 @@
       and the lint checks register into.  A counter is a mutable box; an
       increment is one store, so counters are always on (they replace the
       hand-rolled stats fields the engine used to carry).
-    - {e phase timers} — wall + CPU spans (parse / typecheck / lower /
-      solve / metrics, nestable).  Re-entering a phase name at the same
+    - {e phase timers} — wall + CPU spans with the minor and promoted
+      words allocated inside them (parse / typecheck / lower / solve /
+      metrics, nestable).  Re-entering a phase name at the same
       nesting depth accumulates into the same record, so a per-method
       activity like PVPG construction shows up as one aggregate line.
       Disabled timers cost one boolean test per {!with_phase}.
@@ -67,12 +68,18 @@ type phase = {
   ph_cpu_us : int;  (** total CPU time, microseconds, across entries *)
   ph_count : int;  (** number of entries accumulated *)
   ph_first_start_us : int;  (** first entry time, relative to trace creation *)
+  ph_minor_words : int;  (** words allocated in the minor heap, across entries *)
+  ph_promoted_words : int;
+      (** words the minor collector promoted to the major heap, across
+          entries; a collection inside the phase can promote words
+          allocated just before it *)
 }
 
 val with_phase : t -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside the named phase.  When timers are off this is
-    just an application.  Exceptions propagate; time is recorded either
-    way.  Re-entering the same name at the same depth accumulates. *)
+    just an application: no clock is read and no GC statistic sampled.
+    Exceptions propagate; time and words are recorded either way.
+    Re-entering the same name at the same depth accumulates. *)
 
 val phases : t -> phase list
 (** Phases in first-entry order. *)
@@ -132,7 +139,7 @@ val write_chrome : ?meth_name:(int -> string) -> t -> string -> (unit, Io.error)
 
 val pp_phases : Format.formatter -> t -> unit
 (** Human-readable phase table (name indented by depth, wall/CPU ms,
-    entry count). *)
+    entry count, minor and promoted megawords). *)
 
 val pp_counters : Format.formatter -> t -> unit
 (** Human-readable counter dump, sorted by name. *)

@@ -165,7 +165,7 @@ let run (engine : Engine.t) : violation list =
   let pval = (Engine.config_of engine).Config.pval in
   List.iter
     (fun (g : Graph.method_graph) ->
-      List.iter
+      Array.iter
         (fun (f : Flow.t) ->
           (* Degradation invariant: a degraded run force-enables every
              flow of every reachable method; a disabled flow would mean

@@ -26,8 +26,9 @@ let empty = Empty
 let any = Any
 
 (* Always the fully-reduced singleton, independent of the pval mode, so
-   [leq (const n) s] is the membership test under either lattice. *)
-let const n = Prim (Prim.const n)
+   [leq (const n) s] is the membership test under either lattice.  The
+   boxes of {!Prim.interned} constants are preallocated and shared. *)
+let const = Prim.interning (fun n -> Prim (Prim.const n))
 let null = Types Typeset.null_bit
 
 (* Re-establish the properness invariant after a [Prim] operation. *)

@@ -24,7 +24,8 @@ val any : t
 val const : int -> t
 (** The fully-reduced singleton [{n}], whatever the pval mode — so
     [leq (const n) s] tests membership of [n] in [s] under either
-    lattice (the fuzz oracle relies on this). *)
+    lattice (the fuzz oracle relies on this).  Physically shared for
+    {!Prim.interned} [n]. *)
 
 val of_prim : Prim.t -> t
 (** Re-establish the properness invariant: {!Prim.bot} ↦ [Empty],

@@ -202,21 +202,20 @@ let fuzz_seed seed =
                               fail ~config:cname ~case
                                 "prim: %s defined a value but is unreachable"
                                 (Program.qualified_name prog m)
-                          | Some g -> (
-                              match g.C.Graph.g_defs.(Ids.Var.to_int var) with
-                              | Some flow ->
-                                  if
-                                    not
-                                      (flow.C.Flow.enabled
-                                      && C.Vstate.leq (C.Vstate.const n)
-                                           flow.C.Flow.state)
-                                  then
-                                    fail ~config:cname ~case
-                                      "prim: observed value %d escapes its \
-                                       flow's state in %s"
-                                      n
-                                      (Program.qualified_name prog m)
-                              | None -> ()))
+                          | Some g ->
+                              let flow = g.C.Graph.g_defs.(Ids.Var.to_int var) in
+                              if
+                                (not (C.Flow.is_none flow))
+                                && not
+                                     (flow.C.Flow.enabled
+                                     && C.Vstate.leq (C.Vstate.const n)
+                                          flow.C.Flow.state)
+                              then
+                                fail ~config:cname ~case
+                                  "prim: observed value %d escapes its \
+                                   flow's state in %s"
+                                  n
+                                  (Program.qualified_name prog m))
                       | _ -> ())
                     trace.I.defs;
                   (* lint soundness oracle: anything the checks prove dead

@@ -576,11 +576,12 @@ let same_fixed_point a b =
         | None -> fail "%s: no counterpart graph" name
         | Some gb ->
             let fa = ga.C.Graph.g_flows and fb = gb.C.Graph.g_flows in
-            if List.length fa <> List.length fb then
-              fail "%s: %d vs %d flows" name (List.length fa) (List.length fb)
+            if Array.length fa <> Array.length fb then
+              fail "%s: %d vs %d flows" name (Array.length fa) (Array.length fb)
             else
-              List.iteri
-                (fun i ((x : C.Flow.t), (y : C.Flow.t)) ->
+              Array.iteri
+                (fun i (x : C.Flow.t) ->
+                  let y = fb.(i) in
                   if C.Flow.kind_name x <> C.Flow.kind_name y then
                     fail "%s: flow %d kind %s vs %s" name i
                       (C.Flow.kind_name x) (C.Flow.kind_name y)
@@ -590,7 +591,7 @@ let same_fixed_point a b =
                   then fail "%s: flow %d value state differs" name i
                   else if not (C.Vstate.equal x.C.Flow.raw y.C.Flow.raw) then
                     fail "%s: flow %d raw state differs" name i)
-                (List.combine fa fb))
+                fa)
       (C.Engine.graphs a);
     match !err with None -> Ok () | Some m -> Error m
   end

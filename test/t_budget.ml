@@ -46,7 +46,7 @@ let stats (r : C.Analysis.result) = C.Engine.stats r.C.Analysis.engine
 let max_method_flows (r : C.Analysis.result) =
   List.fold_left
     (fun acc (g : C.Graph.method_graph) ->
-      max acc (List.length g.C.Graph.g_flows))
+      max acc (C.Graph.flow_count g))
     0
     (C.Engine.graphs r.C.Analysis.engine)
 

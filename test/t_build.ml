@@ -18,7 +18,9 @@ let graph_of ?(config = C.Config.skipflow) src ~cls ~meth =
   (prog, e, g)
 
 let count_kind g pred =
-  List.length (List.filter (fun (f : C.Flow.t) -> pred f.C.Flow.kind) g.C.Graph.g_flows)
+  Array.fold_left
+    (fun n (f : C.Flow.t) -> if pred f.C.Flow.kind then n + 1 else n)
+    0 g.C.Graph.g_flows
 
 (* transitive reachability along predicate edges (the lowering introduces
    landing-pad merges, so a filter often predicates a flow through one or
@@ -68,14 +70,14 @@ let test_on_exit_shape () =
   Alcotest.(check int) "4 filter flows (two per branch side)" 4 (count_kind g is_filter);
   (* the invoke observes its receiver *)
   let params =
-    List.filter (fun (f : C.Flow.t) -> is_param f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_param f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   let p_thread = List.nth params 1 in
   Alcotest.(check bool) "p_thread observed by an invoke" true
     (List.exists (fun (o : C.Flow.t) -> is_invoke o.C.Flow.kind) p_thread.C.Flow.observers);
   (* the invoke is a predicate for subsequent flows (invoke-as-predicate) *)
   let invokes =
-    List.filter (fun (f : C.Flow.t) -> is_invoke f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_invoke f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   Alcotest.(check bool) "isVirtual invoke has predicate successors" true
     (List.exists (fun (f : C.Flow.t) -> f.C.Flow.pred_out <> []) invokes)
@@ -88,13 +90,13 @@ let test_is_virtual_shape () =
   Alcotest.(check int) "2 instanceof filters" 2 (count_kind g is_filter);
   Alcotest.(check bool) "at least one phi" true (count_kind g is_phi >= 1);
   let filters =
-    List.filter (fun (f : C.Flow.t) -> is_filter f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_filter f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   let sources =
     List.filter
       (fun (f : C.Flow.t) ->
         match f.C.Flow.kind with C.Flow.Source _ -> true | _ -> false)
-      g.C.Graph.g_flows
+      (Array.to_list g.C.Graph.g_flows)
   in
   List.iter
     (fun (f : C.Flow.t) ->
@@ -136,11 +138,11 @@ class Main { static void main() { } }
   in
   let _, _, g = graph_of src ~cls:"C" ~meth:"m" in
   Alcotest.(check bool) "has phi_pred flows" true (count_kind g is_phi_pred >= 1);
-  let phis = List.filter (fun (f : C.Flow.t) -> is_phi f.C.Flow.kind) g.C.Graph.g_flows in
+  let phis = List.filter (fun (f : C.Flow.t) -> is_phi f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows) in
   Alcotest.(check bool) "has a phi" true (phis <> []);
   (* every phi is the predicate-target of some phi_pred *)
   let phi_preds =
-    List.filter (fun (f : C.Flow.t) -> is_phi_pred f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_phi_pred f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   List.iter
     (fun (phi : C.Flow.t) ->
@@ -171,14 +173,14 @@ class Main { static void main() { } }
   in
   let _, _, g = graph_of src ~cls:"C" ~meth:"m" in
   let allocs =
-    List.filter (fun (f : C.Flow.t) -> is_alloc f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_alloc f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   Alcotest.(check int) "one alloc" 1 (List.length allocs);
   let alloc = List.hd allocs in
   (* the allocation must be gated (possibly through landing-pad phi_preds)
      by the == null filter flow, and by that one only *)
   let filters =
-    List.filter (fun (f : C.Flow.t) -> is_filter f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_filter f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   let gating = List.filter (fun f -> pred_reaches f alloc) filters in
   Alcotest.(check bool) "alloc gated by a filter" true (gating <> [])
@@ -196,7 +198,7 @@ class Main { static void main() { } }
   in
   let _, _, g = graph_of src ~cls:"C" ~meth:"m" in
   let filters =
-    List.filter (fun (f : C.Flow.t) -> is_filter f.C.Flow.kind) g.C.Graph.g_flows
+    List.filter (fun (f : C.Flow.t) -> is_filter f.C.Flow.kind) (Array.to_list g.C.Graph.g_flows)
   in
   Alcotest.(check int) "four filters (two per side)" 4 (List.length filters);
   (* each branch side: an f_l that predicates an f_r *)
@@ -212,7 +214,7 @@ class Main { static void main() { } }
     List.filter
       (fun (f : C.Flow.t) ->
         match f.C.Flow.kind with C.Flow.Param i -> i >= 1 | _ -> false)
-      g.C.Graph.g_flows
+      (Array.to_list g.C.Graph.g_flows)
   in
   Alcotest.(check int) "two compared operands" 2 (List.length operand_params);
   List.iter
@@ -232,8 +234,10 @@ let test_void_return_flow () =
 
 let test_defs_recorded () =
   let _, _, g = graph_of fig2_src ~cls:"Container" ~meth:"onExit" in
-  let defined = Array.to_list g.C.Graph.g_defs |> List.filter Option.is_some in
-  Alcotest.(check bool) "most vars have defining flows" true (List.length defined >= 4)
+  let defined =
+    Array.fold_left (fun n f -> if C.Flow.is_none f then n else n + 1) 0 g.C.Graph.g_defs
+  in
+  Alcotest.(check bool) "most vars have defining flows" true (defined >= 4)
 
 let suite =
   ( "build",

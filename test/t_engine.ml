@@ -50,7 +50,7 @@ class Main {
   in
   let prog, e, _ = analyze src in
   let g = Option.get (flows_of e prog "Container.onExit") in
-  let find pred = List.filter pred g.C.Graph.g_flows in
+  let find pred = List.filter pred (Array.to_list g.C.Graph.g_flows) in
   (* p_thread holds {Thread} only — no virtual thread instantiated *)
   let params = find (fun f -> match f.C.Flow.kind with C.Flow.Param _ -> true | _ -> false) in
   let thread_cls = (Option.get (Program.find_class prog "Thread")).Program.c_id in
@@ -94,7 +94,7 @@ class Main {
         match f.C.Flow.filter with
         | C.Flow.Instanceof { negated; _ } -> Some (negated, f)
         | _ -> None)
-      gv.C.Graph.g_flows
+      (Array.to_list gv.C.Graph.g_flows)
   in
   let pos = List.assoc false filters and neg = List.assoc true filters in
   Alcotest.(check bool) "positive filter empty" true (C.Vstate.is_empty pos.C.Flow.state);
@@ -200,7 +200,7 @@ class Main {
     List.filter
       (fun (f : C.Flow.t) ->
         match f.C.Flow.kind with C.Flow.Field_load _ -> true | _ -> false)
-      g.C.Graph.g_flows
+      (Array.to_list g.C.Graph.g_flows)
   in
   let o = (Option.get (Program.find_class prog "O")).Program.c_id in
   let p = (Option.get (Program.find_class prog "P")).Program.c_id in

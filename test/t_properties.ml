@@ -66,10 +66,11 @@ let soundness_value_states_cfg config seed =
     (fun (m, var, v) ->
       match C.Engine.graph_of r.C.Analysis.engine m with
       | None -> false (* executed method must be reachable *)
-      | Some g -> (
-          match g.C.Graph.g_defs.(Ids.Var.to_int var) with
-          | Some flow -> flow.C.Flow.enabled && value_covered v flow.C.Flow.state
-          | None -> true (* vars eliminated as trivial phis have no flow *)))
+      | Some g ->
+          let flow = g.C.Graph.g_defs.(Ids.Var.to_int var) in
+          (* vars eliminated as trivial phis have no flow *)
+          C.Flow.is_none flow
+          || (flow.C.Flow.enabled && value_covered v flow.C.Flow.state))
     trace.I.defs
 
 let soundness_value_states = soundness_value_states_cfg C.Config.skipflow
@@ -146,7 +147,7 @@ let state_signature r =
         List.map
           (fun (f : C.Flow.t) ->
             (C.Flow.kind_name f, f.C.Flow.enabled, Format.asprintf "%a" C.Vstate.pp f.C.Flow.state))
-          g.C.Graph.g_flows ))
+          (Array.to_list g.C.Graph.g_flows) ))
     (C.Engine.graphs r.C.Analysis.engine)
   |> List.sort compare
 

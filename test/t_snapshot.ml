@@ -9,7 +9,9 @@
      both engine modes; resuming twice (pause again mid-resume) also
      converges to the same point;
    - a snapshot survives a disk round trip through the container and the
-     restored engine continues the paused run's counters. *)
+     restored engine continues the paused run's counters;
+   - a thawed graph's SSA definitions match the original slot for slot,
+     undefined slots included. *)
 
 open Skipflow_ir
 module C = Skipflow_core
@@ -164,9 +166,9 @@ let check_same_fixed_point ~ctx (ea : C.Engine.t) (eb : C.Engine.t) =
       | None -> Alcotest.failf "%s: method missing in resumed run" ctx
       | Some gb ->
           let fa = ga.C.Graph.g_flows and fb = gb.C.Graph.g_flows in
-          if List.length fa <> List.length fb then
+          if Array.length fa <> Array.length fb then
             Alcotest.failf "%s: flow counts differ for a method" ctx;
-          List.iter2
+          Array.iter2
             (fun (x : C.Flow.t) (y : C.Flow.t) ->
               if x.C.Flow.enabled <> y.C.Flow.enabled then
                 Alcotest.failf "%s: enabled bit differs on flow %d/%d" ctx
@@ -349,6 +351,41 @@ let test_snapshot_disk_round_trip () =
           Alcotest.failf "foreign kind: %s" (C.Snapshot.error_message e)
       | Ok _ -> Alcotest.fail "cache entry loaded as an engine snapshot")
 
+(* A graph's undefined SSA slots hold {!Flow.none}, recognized by its id
+   rather than physically, so the copy a thawed image carries still
+   reads as undefined; defined slots keep their flows' ids. *)
+let test_defs_survive_thaw () =
+  let prog, main =
+    W.Gen.compile { W.Gen.default_params with W.Gen.live_units = 4; dead_units = 2 }
+  in
+  let e = (C.Analysis.run prog ~roots:[ main ]).C.Analysis.engine in
+  let thawed =
+    match C.Engine.of_snapshot_bytes (C.Engine.snapshot_bytes e) with
+    | Ok t -> t
+    | Error msg -> Alcotest.fail msg
+  in
+  let undefined = ref 0 and copied = ref 0 in
+  List.iter
+    (fun (ga : C.Graph.method_graph) ->
+      let gb = Option.get (C.Engine.graph_of thawed ga.C.Graph.g_meth.Program.m_id) in
+      let da = ga.C.Graph.g_defs and db = gb.C.Graph.g_defs in
+      Alcotest.(check int) "same slot count" (Array.length da) (Array.length db);
+      Array.iteri
+        (fun i (fa : C.Flow.t) ->
+          let fb = db.(i) in
+          if C.Flow.is_none fa then begin
+            incr undefined;
+            if fb != C.Flow.none then incr copied;
+            if not (C.Flow.is_none fb) then
+              Alcotest.failf "slot %d: undefined before the thaw, flow %d after" i
+                fb.C.Flow.id
+          end
+          else Alcotest.(check int) "same defining flow" fa.C.Flow.id fb.C.Flow.id)
+        da)
+    (C.Engine.graphs e);
+  Alcotest.(check bool) "undefined slots seen" true (!undefined > 0);
+  Alcotest.(check bool) "the thawed sentinel is a copy" true (!copied > 0)
+
 (* Snapshots written before the interval × constant primitive domain
    carry flat-only value states, so the payload schema was bumped; a
    pre-bump blob must be rejected as [Bad_version], never decoded into a
@@ -400,6 +437,8 @@ let suite =
         test_snapshot_disk_round_trip;
       Alcotest.test_case "pre-product snapshots are rejected by version" `Quick
         test_pre_product_snapshot_rejected;
+      Alcotest.test_case "SSA definitions survive a thaw slot for slot" `Quick
+        test_defs_survive_thaw;
       Alcotest.test_case "undecodable payload is a reported error" `Quick
         test_bad_payload_reported;
     ] )

@@ -5,7 +5,8 @@
      (links, use edges, live flows are fixed-point facts; the dedup_*
      counters are identically zero in reference mode);
    - phase spans nest, accumulate on re-entry, and children sum to no
-     more than the enclosing span's wall time;
+     more than the enclosing span's wall time; a solve's phase records
+     the words it promoted, no more than it allocated;
    - the Chrome trace is one valid schema-versioned document that the
      integer-only JSON parser reads back with every buffered event and
      every phase in it;
@@ -110,6 +111,26 @@ let test_analysis_phases () =
       Alcotest.(check bool) (n ^ " phase recorded") true (List.mem n names))
     [ "roots"; "solve"; "metrics" ]
 
+(* a solve promotes its graph: the solve phase's promoted words are
+   positive and bounded by what it allocated.  Promotion happens only at
+   a minor collection, so the solve must allocate several minor heaps'
+   worth (about 1.1 Mwords here, against the default 256 kwords). *)
+let test_phase_gc_words () =
+  let prog, main =
+    W.Gen.compile { W.Gen.default_params with live_units = 30; dead_units = 2 }
+  in
+  let s = run_with_trace ~mode:C.Engine.Dedup prog main in
+  match
+    List.find_opt
+      (fun p -> String.equal p.C.Trace.ph_name "solve")
+      (C.Trace.phases s.C.Analysis.trace)
+  with
+  | None -> Alcotest.fail "no solve phase"
+  | Some p ->
+      Alcotest.(check bool) "promoted words > 0" true (p.C.Trace.ph_promoted_words > 0);
+      Alcotest.(check bool) "minor words >= promoted words" true
+        (p.C.Trace.ph_minor_words >= p.C.Trace.ph_promoted_words)
+
 (* ----- events ----- *)
 
 let test_event_cap () =
@@ -210,6 +231,8 @@ let suite =
       Alcotest.test_case "phase spans nest and accumulate" `Quick test_phase_nesting;
       Alcotest.test_case "timers off records nothing" `Quick test_phases_timed_off;
       Alcotest.test_case "analysis records its phases" `Quick test_analysis_phases;
+      Alcotest.test_case "the solve phase records its GC words" `Quick
+        test_phase_gc_words;
       Alcotest.test_case "event buffer cap" `Quick test_event_cap;
       Alcotest.test_case "chrome trace is valid and versioned" `Quick
         test_chrome_valid;

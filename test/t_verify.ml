@@ -62,7 +62,7 @@ let test_detects_corruption () =
   let corrupted = ref false in
   List.iter
     (fun (g : C.Graph.method_graph) ->
-      List.iter
+      Array.iter
         (fun (f : C.Flow.t) ->
           if
             (not !corrupted) && f.C.Flow.enabled
@@ -91,7 +91,7 @@ let test_detects_cleared_return_token () =
   let corrupted = ref false in
   List.iter
     (fun (g : C.Graph.method_graph) ->
-      List.iter
+      Array.iter
         (fun (f : C.Flow.t) ->
           match (f.C.Flow.kind, f.C.Flow.meth) with
           | C.Flow.Return, Some m
@@ -118,7 +118,7 @@ let test_detects_dropped_use_join () =
   let corrupted = ref false in
   List.iter
     (fun (g : C.Graph.method_graph) ->
-      List.iter
+      Array.iter
         (fun (f : C.Flow.t) ->
           if (not !corrupted) && f.C.Flow.enabled
              && not (C.Vstate.is_empty f.C.Flow.state) then
