@@ -41,28 +41,11 @@ let run ?(config = Config.skipflow) ?random_order ?on_budget ?mode ?trace
       List.iter (fun m -> Engine.add_root engine m) roots);
   finish ?random_order ?on_budget ~config ~trace ~t0 engine
 
-(** [resume bytes] continues a paused solve from the paused engine's
-    {!Engine.snapshot_bytes} to the fixed point the uninterrupted run
-    would have reached.  [budget] (commonly {!Budget.unlimited})
-    replaces the snapshotted budget; with neither a new budget nor
-    [on_budget:`Pause] the resumed run would degrade at the very cap that
-    paused it. *)
-let resume ?on_budget ?budget ?trace bytes =
-  let trace = match trace with Some tr -> tr | None -> Trace.create () in
-  let t0 = Sys.time () in
-  match Engine.of_snapshot_bytes ~trace ?budget bytes with
-  | Error _ as e -> e
-  | Ok engine ->
-      Ok
-        (finish ?on_budget ~config:(Engine.config_of engine) ~trace ~t0
-           engine)
-
 (** [rerun engine] drives an already-constructed engine (back) to its
-    fixed point and recomputes metrics — the incremental-analysis path: a
-    solved engine that just gained roots via {!Engine.add_root} re-drains
-    from the new boundary flows only, and monotonicity guarantees the
-    resulting fixed point is the one a from-scratch solve over the grown
-    root set would reach. *)
+    fixed point and recomputes metrics: a solved engine that just gained
+    roots via {!Engine.add_root}, or an engine restored from a paused
+    run's snapshot.  Monotonicity guarantees the fixed point is the one a
+    from-scratch solve would reach. *)
 let rerun ?on_budget ?trace engine =
   let trace =
     match trace with Some tr -> tr | None -> Engine.trace_of engine

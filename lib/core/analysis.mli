@@ -8,9 +8,9 @@ type result = {
       (** the solved engine: reachable methods, per-flow value states *)
   outcome : Engine.outcome;
       (** {!Engine.Paused} only under [on_budget:`Pause] when a budget
-          cap tripped; pass the engine's {!Engine.snapshot_bytes} to
-          {!resume} (optionally after a {!Snapshot.write} round trip) to
-          finish the solve *)
+          cap tripped; to finish the solve, restore the engine's
+          {!Engine.snapshot_bytes} (optionally after a {!Snapshot.write}
+          round trip) with {!Engine.of_snapshot_bytes} and {!rerun} it *)
   metrics : Metrics.t;
   trace : Trace.t;
       (** the run's counters, and — when requested at creation — its
@@ -47,25 +47,13 @@ val rerun :
   Engine.t ->
   result
 (** Drive an already-constructed engine (back) to its fixed point and
-    recompute metrics.  This is the incremental re-analysis step: on a
-    solved engine that just gained roots via {!Engine.add_root}, the
-    worklist re-drains from the new roots' boundary flows only, and
-    monotone chaotic iteration guarantees the fixed point equals a
-    from-scratch solve over the grown root set (pinned flow by flow by
-    the serve tests).  [trace] defaults to the engine's own trace. *)
-
-val resume :
-  ?on_budget:[ `Degrade | `Pause ] ->
-  ?budget:Budget.t ->
-  ?trace:Trace.t ->
-  string ->
-  (result, string) Stdlib.result
-(** Continue a paused solve from the paused engine's
-    {!Engine.snapshot_bytes}.  [budget] — commonly {!Budget.unlimited} —
-    replaces the snapshotted budget so the resumed run can finish;
-    metrics are recomputed on the resumed engine, whose fixed point is
-    identical, flow by flow, to an uninterrupted run's.  [Error msg]
-    when the bytes cannot be decoded. *)
+    recompute metrics: a solved engine that just gained roots via
+    {!Engine.add_root} re-drains from the new roots' boundary flows
+    only, and an engine {!Engine.of_snapshot_bytes} restored from a
+    paused run (under a new [budget], commonly {!Budget.unlimited})
+    resumes.  Either way monotone chaotic iteration lands on the fixed
+    point a from-scratch solve reaches, flow by flow (pinned by the serve
+    and snapshot tests).  [trace] defaults to the engine's own trace. *)
 
 val roots_by_name :
   Skipflow_ir.Program.t ->

@@ -35,6 +35,10 @@ type ctx = {
   field_flow : Ids.Field.t -> Flow.t;
       (** the engine's global per-field flow; used to link static field
           accesses at construction time (no receiver to observe) *)
+  entered : Program.meth -> Flow.t list -> Flow.t -> unit;
+      (** receives the method's parameter and return flows before its
+          body is built, so a recursive call the body enables links to
+          them instead of building the method again *)
   c_methods : Trace.counter;  (** [build.methods] *)
   c_flows : Trace.counter;  (** [build.flows] *)
   c_edges : Trace.counter;  (** [build.edges] *)
@@ -149,6 +153,7 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
         f)
       body.Bl.params
   in
+  ctx.entered meth param_flows return_flow;
   (* ------------------------- propagate (Fig. 13) --------------------- *)
   let propagate (b : block_state) (src : Bl.block) (tgt : Ids.Block.t) =
     let ts = get_merge_state tgt in

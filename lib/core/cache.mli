@@ -16,8 +16,9 @@
       schema version) is detected by the {!Snapshot} container checks,
       {e quarantined} (moved aside into [quarantine/]) and reported as a
       miss — never an exception, never a wrong hit; the quarantine
-      directory itself is bounded ({!sweep_quarantine}) so repeated
-      corruption cannot fill the disk;
+      directory itself is bounded (at {!create} and after every
+      quarantine: entries older than seven days go, then the oldest
+      beyond 64) so repeated corruption cannot fill the disk;
     - lookups and stores count into the owning {!Trace.t} as
       [cache.hit] / [cache.miss] / [cache.evict] / [cache.corrupt]. *)
 
@@ -33,11 +34,6 @@ val dir : t -> string
 
 val quarantine_dir : t -> string
 (** Where corrupt entries are moved ([<dir>/quarantine]). *)
-
-val sweep_quarantine : t -> unit
-(** Bound the quarantine directory: drop entries older than seven days,
-    then the oldest beyond 64 (newest kept).  Runs automatically at
-    {!create} and after every quarantine; exposed for tests. *)
 
 val key : config:Config.t -> scope:string -> source:string -> string
 (** The content hash (hex): digest of the source bytes, every

@@ -3,8 +3,5 @@
     edges, dotted lines = observe edges; enabled flows red, disabled
     grey. *)
 
-val emit_graph :
-  Skipflow_ir.Program.t -> Format.formatter -> Graph.method_graph list -> unit
-
 val to_string : Skipflow_ir.Program.t -> Graph.method_graph list -> string
 val write_file : Skipflow_ir.Program.t -> path:string -> Graph.method_graph list -> unit

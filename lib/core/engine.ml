@@ -135,6 +135,10 @@ type t = {
   emit : Edges.emit;  (** this engine's scheduling hooks (knot-tied in {!thaw}) *)
   build : Build.ctx;  (** the construction context, shared by every {!Build.run} *)
   graphs : Graph.method_graph Ids.Meth.Tbl.t;
+  building : (Flow.t list * Flow.t) Ids.Meth.Tbl.t;
+      (** the parameter and return flows of each method whose graph
+          {!Build.run} is building now (see [Build.ctx.entered]); empty
+          between tasks, so never part of an image *)
   mutable reachable_order : Program.meth list;  (** reverse discovery order *)
   mutable roots : Ids.Meth.Set.t;  (** methods registered via {!add_root} *)
   field_flows : Flow.t Ids.Field.Tbl.t;
@@ -420,6 +424,7 @@ and ensure_reachable t (m : Program.meth) =
   | Some g -> g
   | None ->
       let g = Trace.timed t.trace t.c.c_build_us (fun () -> Build.run t.build m) in
+      Ids.Meth.Tbl.remove t.building m.Program.m_id;
       Ids.Meth.Tbl.replace t.graphs m.Program.m_id g;
       t.reachable_order <- m :: t.reachable_order;
       Trace.add t.c.c_live_flows (Graph.flow_count g);
@@ -443,25 +448,30 @@ and link_callee t (inv_flow : Flow.t) (inv : Flow.invoke_site) (callee : Program
       Trace.event t.trace ~kind:"link" ~flow:inv_flow.Flow.id
         ~meth:(flow_meth_id inv_flow)
         ~arg:(Ids.Meth.to_int callee.Program.m_id) ();
-    let cg = ensure_reachable t callee in
+    let params, return =
+      match Ids.Meth.Tbl.find_opt t.building callee.Program.m_id with
+      | Some entry -> entry (* a recursive call, enabled while [callee] is built *)
+      | None ->
+          let cg = ensure_reachable t callee in
+          (cg.Graph.g_params, cg.Graph.g_return)
+    in
     let actuals =
       match inv.Flow.inv_recv with
       | Some r when not callee.Program.m_static -> r :: inv.Flow.inv_args
       | _ -> inv.Flow.inv_args
     in
-    (if List.length actuals <> List.length cg.Graph.g_params then
+    (if List.length actuals <> List.length params then
        invalid_arg
          (Printf.sprintf "Engine: arity mismatch calling %s (%d actuals, %d formals)"
             (Program.qualified_name t.prog callee.Program.m_id)
-            (List.length actuals)
-            (List.length cg.Graph.g_params)));
+            (List.length actuals) (List.length params)));
     List.iter2
       (fun a p ->
         Trace.incr t.c.c_use_edges;
         Edges.use_edge ~emit:t.emit a p)
-      actuals cg.Graph.g_params;
+      actuals params;
     (* the invoke flow represents the returned value in the caller *)
-    Edges.use_edge ~emit:t.emit cg.Graph.g_return inv_flow
+    Edges.use_edge ~emit:t.emit return inv_flow
   end
 
 (** The Invoke rule: resolve and link every possible callee.  Virtual
@@ -682,6 +692,7 @@ let thaw ?trace ?budget wl fz =
       emit;
       build;
       graphs = fz.fz_graphs;
+      building = Ids.Meth.Tbl.create 8;
       reachable_order = fz.fz_reachable_order;
       roots = fz.fz_roots;
       field_flows = fz.fz_field_flows;
@@ -711,6 +722,9 @@ let thaw ?trace ?budget wl fz =
       pred_on = fz.fz_pred_on;
       emit;
       field_flow = (fun fid -> field_flow t fid);
+      entered =
+        (fun m params return ->
+          Ids.Meth.Tbl.replace t.building m.Program.m_id (params, return));
       c_methods = c.c_build_methods;
       c_flows = c.c_build_flows;
       c_edges = c.c_build_edges;

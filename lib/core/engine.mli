@@ -197,11 +197,7 @@ val stats : t -> stats
 val trace_of : t -> Trace.t
 (** The trace this engine accounts into (the one given to {!create}). *)
 
-(** {2 Internals exposed for {!Build} and white-box tests} *)
-
-val all_inst_flow : t -> Skipflow_ir.Ids.Class.t -> Flow.t
-(** The always-enabled global flow holding all instantiated subtypes of a
-    class (grows as allocations are discovered). *)
+(** {2 Internals exposed for {!Verify}} *)
 
 val field_flow : t -> Skipflow_ir.Ids.Field.t -> Flow.t
 (** The global per-declared-field flow ([LookUp]'s codomain), created on

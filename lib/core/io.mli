@@ -96,13 +96,10 @@ val plan :
 exception Crash_point of int
 (** Raised at the crash point when [crash_exit] is false. *)
 
-val install : plan -> unit
-(** Make [plan] govern subsequent operations (process-global). *)
-
-val uninstall : unit -> unit
-
 val with_plan : plan -> (unit -> 'a) -> 'a
-(** Install, run, uninstall (also on exception). *)
+(** [with_plan plan f] runs [f] with [plan] installed: it governs the
+    operations [f] performs (process-global), and is removed afterwards,
+    also on exception. *)
 
 val ops_performed : unit -> int
 (** Operations ticked by the installed plan ([0] when none): the count
@@ -167,10 +164,6 @@ val unlink : string -> (unit, error) result
 (** [unlink] of a missing file is [Ok ()]. *)
 
 val mkdir_p : string -> (unit, error) result
-
-val fsync_dir : string -> unit
-(** Best-effort directory fsync (no-op below [D_fsync]; errors are
-    swallowed — some filesystems refuse directory fsync). *)
 
 (* ------------------------------- appender ----------------------------- *)
 

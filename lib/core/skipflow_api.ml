@@ -1,6 +1,7 @@
 (** The stable library facade (see the interface).  Everything here is a
     thin, exception-catching composition of {!Frontend},
-    {!Skipflow_core.Analysis} and {!Skipflow_core.Trace}. *)
+    {!Skipflow_core.Engine}, {!Skipflow_core.Analysis} and
+    {!Skipflow_core.Trace}. *)
 
 open Skipflow_core
 module Frontend = Skipflow_frontend.Frontend
@@ -122,9 +123,11 @@ let resume_snapshot ?budget ?on_budget ?trace bytes =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   guard (fun () ->
       let w0 = Unix.gettimeofday () and c0 = Sys.time () in
-      match Analysis.resume ?budget ?on_budget ~trace bytes with
+      match Engine.of_snapshot_bytes ~trace ?budget bytes with
       | Error msg -> Error (Internal_error msg)
-      | Ok r -> Ok (summary_of_result ~trace ~w0 ~c0 r))
+      | Ok engine ->
+          let r = Analysis.rerun ?on_budget ~trace engine in
+          Ok (summary_of_result ~trace ~w0 ~c0 r))
 
 let analyze ?config ?on_budget ?trace ~source ~roots () =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in

@@ -131,7 +131,9 @@ val resume_snapshot :
   string ->
   (summary, error) result
 (** Continue a paused solve from the paused engine's
-    {!Engine.snapshot_bytes}.  [budget] (commonly {!Budget.unlimited})
-    replaces the snapshotted budget so the resumed run can finish; bytes
-    that do not decode are an {!Internal_error}.  The resumed fixed point
-    is identical, flow by flow, to an uninterrupted run's. *)
+    {!Engine.snapshot_bytes}: {!Engine.of_snapshot_bytes}, then
+    {!Analysis.rerun} (there is no separate resume step).  [budget]
+    (commonly {!Budget.unlimited}) replaces the snapshotted budget so the
+    resumed run can finish; bytes that do not decode are an
+    {!Internal_error}.  The resumed fixed point is identical, flow by
+    flow, to an uninterrupted run's. *)

@@ -38,9 +38,6 @@ val is_error : t -> bool
 val pp : Format.formatter -> t -> unit
 (** Compact one-line form: [3:14: syntax error: ...]. *)
 
-val source_line : string -> int -> string option
-(** The 1-based [n]th line of a source buffer, without its newline. *)
-
 val render : ?file:string -> src:string -> Format.formatter -> t -> unit
 (** Full form: [file:line:col] header, offending source line, caret under
     the column, optional hint line. *)

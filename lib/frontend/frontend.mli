@@ -22,9 +22,6 @@ type spanner = { span : 'a. string -> (unit -> 'a) -> 'a }
     compilation pass one built from their observability layer; the
     frontend itself stays free of that dependency. *)
 
-val null_spanner : spanner
-(** The identity spanner (no timing). *)
-
 val compile_diags :
   ?spanner:spanner -> string -> (Skipflow_ir.Program.t, Diag.t list) result
 (** Compile with error recovery: accumulate every independent syntax /

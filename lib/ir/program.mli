@@ -45,7 +45,6 @@ val create : unit -> t
 (** A fresh program containing only the reserved [null] class (id 0). *)
 
 val null_class : Class.t
-val null_class_name : string
 val is_null_class : Class.t -> bool
 
 exception Duplicate of string

@@ -20,7 +20,6 @@ val entry_block : t -> Bl.block
 val label_block : t -> Bl.block
 val merge_block : t -> Bl.block
 
-val fresh_var : t -> Ty.t -> Var.t
 val add_insn : t -> Bl.block -> Bl.insn -> unit
 val write_var : t -> Bl.block -> string -> Var.t -> unit
 

@@ -201,11 +201,6 @@ let reachable_names engine =
 module Memo = struct
   type t = { cap : int; mutable items : (string * string) list }
 
-  let rec take n = function
-    | [] -> []
-    | _ when n <= 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-
   let create cap = { cap; items = [] }
   let entries m = m.items
 
@@ -216,7 +211,8 @@ module Memo = struct
   let peek m key = List.assoc_opt key m.items
 
   let add m (key, v) =
-    m.items <- take m.cap ((key, v) :: List.remove_assoc key m.items)
+    m.items <-
+      List.filteri (fun i _ -> i < m.cap) ((key, v) :: List.remove_assoc key m.items)
 
   (* the memory ceiling's first relief valve: memo entries are pure
      caches, dropping them costs recomputation, never correctness *)
@@ -306,38 +302,62 @@ let candidate ?(before = []) ~strategy ~verified ~key st frozen =
     o_memo_adds = before @ [ (key, frozen) ];
   }
 
-let deadline_budget deadline_ms =
-  C.Budget.make ~max_seconds:(float_of_int deadline_ms /. 1000.) ()
+(* A request's budget and its reaction to a trip: a deadline is a
+   wall-clock cap that pauses the solve, so the request rolls back;
+   without one, the configured budget degrades it. *)
+let request_budget config = function
+  | None -> (config.C.Config.budget, `Degrade)
+  | Some ms -> (C.Budget.make ~max_seconds:(float_of_int ms /. 1000.) (), `Pause)
 
-let with_deadline config = function
-  | None -> (config, `Degrade)
-  | Some ms -> ({ config with C.Config.budget = deadline_budget ms }, `Pause)
+(* A solve's outcome as the request's: only a deadline pauses. *)
+let completed ~deadline_ms outcome =
+  match (outcome, deadline_ms) with
+  | C.Engine.Completed, _ -> Ok ()
+  | C.Engine.Paused _, Some deadline_ms ->
+      Error (Protocol.Deadline_exceeded { deadline_ms })
+  | C.Engine.Paused _, None ->
+      (* unreachable: without a deadline the engine degrades *)
+      Error (Protocol.Api_error (Api.Internal_error "paused without deadline"))
 
 let certify engine = C.Verify.run engine = []
+
+let thaw_certified bytes =
+  match thaw bytes with
+  | Error msg -> Error ("undecodable (" ^ msg ^ ")")
+  | Ok st when certify st.engine -> Ok st
+  | Ok _ -> Error "failed verification"
+
+(* The memo entry under [key] as the next state: a hit only once it
+   thaws and certifies; an entry that does not is suspect. *)
+let memo_lookup ?before ~memo ~key st =
+  match Memo.peek memo key with
+  | None -> `Miss
+  | Some bytes -> (
+      match thaw_certified bytes with
+      | Error _ -> `Suspect
+      | Ok mst ->
+          (* re-adding the hit refreshes its LRU position *)
+          `Hit
+            (candidate ?before ~strategy:Memo ~verified:true ~key
+               { mst with generation = st.generation + 1 }
+               bytes))
 
 (* The post-compile half of a full solve: [prog] was compiled from
    [source] under [trace], which the solve's phases then join.  A caller
    that has fingerprinted [prog] already passes [meth_hashes]. *)
 let solve_program ?meth_hashes ~reason ~config ~deadline_ms ~generation
     ~trace ~source ~roots prog =
-  let config', on_budget = with_deadline config deadline_ms in
+  let budget, on_budget = request_budget config deadline_ms in
   match
     Api.protect (fun () ->
-        match Api.resolve_roots prog roots with
-        | Error e -> Error e
-        | Ok root_meths ->
-            Api.analyze_program ~config:config' ~on_budget ~trace prog
-              ~roots:root_meths)
+        Result.bind (Api.resolve_roots prog roots) (fun root_meths ->
+            Api.analyze_program ~config:{ config with C.Config.budget }
+              ~on_budget ~trace prog ~roots:root_meths))
   with
   | Error e -> Error (Protocol.Api_error e)
-  | Ok s -> (
-      match (s.Api.outcome, deadline_ms) with
-      | C.Engine.Paused _, Some deadline_ms ->
-          Error (Protocol.Deadline_exceeded { deadline_ms })
-      | C.Engine.Paused _, None ->
-          (* unreachable: without a deadline the engine degrades *)
-          Error (Protocol.Api_error (Api.Internal_error "paused without deadline"))
-      | C.Engine.Completed, _ ->
+  | Ok s ->
+      Result.map
+        (fun () ->
           let st =
             {
               source;
@@ -347,17 +367,15 @@ let solve_program ?meth_hashes ~reason ~config ~deadline_ms ~generation
               metrics = s.Api.metrics;
               reachable = s.Api.reachable;
               meth_hashes =
-                (match meth_hashes with
-                | Some h -> h
-                | None -> meth_fingerprints prog);
+                (match meth_hashes with Some h -> h | None -> meth_fingerprints prog);
               hier_hash = hierarchy_fingerprint prog;
               generation = generation + 1;
             }
           in
-          Ok
-            (candidate ~strategy:(Full reason) ~verified:false
-               ~key:(memo_key ~config ~roots ~source)
-               st (freeze st)))
+          candidate ~strategy:(Full reason) ~verified:false
+            ~key:(memo_key ~config ~roots ~source)
+            st (freeze st))
+        (completed ~deadline_ms s.Api.outcome)
 
 let solve_full ?(reason = "cold start") ~config ~deadline_ms ~generation
     ~source ~roots () =
@@ -367,6 +385,44 @@ let solve_full ?(reason = "cold start") ~config ~deadline_ms ~generation
   | Ok (prog, _) ->
       solve_program ~reason ~config ~deadline_ms ~generation ~trace
         ~source ~roots prog
+
+(* The one way back from the resident image, for reuse and redrain
+   alike: thaw [st.snapshot] (bound to [prog] when given), add the
+   [added] roots, drain to the fixed point, certify, and make [st] the
+   candidate with the drained engine.  The thaw shares nothing with the
+   resident engine, so a deadline trip rolls back by keeping the
+   resident state.  With no roots added there is no work to pop and no
+   deadline can trip, so the thaw keeps the budget the image was stored
+   with: a reuse's image does not depend on the request's deadline. *)
+let redrain ~config ~deadline_ms ~fallback ~strategy ~key ?before ?prog ~added
+    st =
+  let budget, on_budget = request_budget config deadline_ms in
+  let budget = if added = [] then None else Some budget in
+  match C.Engine.of_snapshot_bytes ?budget ?prog st.snapshot with
+  | Error _ -> fallback "resident image does not fit"
+  | Ok engine -> (
+      let thawed = C.Engine.prog_of engine in
+      List.iter
+        (fun (m : Program.meth) ->
+          C.Engine.add_root engine (Program.meth thawed m.Program.m_id))
+        added;
+      let r = C.Analysis.rerun ~on_budget engine in
+      match completed ~deadline_ms r.C.Analysis.outcome with
+      | Error _ as e -> e
+      | Ok () when not (certify engine) ->
+          fallback "re-drained image failed verification"
+      | Ok () ->
+          let st' =
+            {
+              st with
+              engine;
+              snapshot = C.Engine.snapshot_bytes engine;
+              metrics = r.C.Analysis.metrics;
+              reachable = reachable_names engine;
+              generation = st.generation + 1;
+            }
+          in
+          Ok (candidate ?before ~strategy ~verified:true ~key st' (freeze st')))
 
 let edit ~config ~deadline_ms ~memo st ~source =
   if String.equal source st.source then Ok (unchanged st)
@@ -379,172 +435,83 @@ let edit ~config ~deadline_ms ~memo st ~source =
       let k = memo_key ~config ~roots:st.roots ~source:st.source in
       (k, match Memo.peek memo k with Some b -> b | None -> freeze st)
     in
-    let with_pre_add = function
-      | Error _ as e -> e
-      | Ok o -> Ok { o with o_memo_adds = pre_add :: o.o_memo_adds }
-    in
-    let full reason =
-      with_pre_add
-        (solve_full ~reason ~config ~deadline_ms
-           ~generation:st.generation ~source ~roots:st.roots ())
-    in
-    match Memo.peek memo key with
-    | Some bytes -> (
-        match thaw bytes with
-        | Ok mst when certify mst.engine ->
-            (* re-adding the hit refreshes its LRU position *)
-            Ok
-              (candidate ~before:[ pre_add ] ~strategy:Memo ~verified:true ~key
-                 { mst with generation = st.generation + 1 }
-                 bytes)
-        | Ok _ | Error _ ->
-            (* suspect memo entry: drop to a full solve *)
-            full "memo entry failed restoration or verification")
-    | None -> (
+    match memo_lookup ~before:[ pre_add ] ~memo ~key st with
+    | `Hit o -> Ok o
+    | (`Miss | `Suspect) as lookup -> (
         let trace = C.Trace.create () in
         match Api.compile ~trace (`Text source) with
         | Error e -> Error (Protocol.Api_error e)
-        | Ok (prog, _) ->
-            let hier = hierarchy_fingerprint prog in
+        | Ok (prog, _) -> (
             let hashes = meth_fingerprints prog in
             (* the source is compiled and fingerprinted already: a
                fallback solves [prog] *)
             let full reason =
-              with_pre_add
+              Result.map
+                (fun o -> { o with o_memo_adds = pre_add :: o.o_memo_adds })
                 (solve_program ~meth_hashes:hashes ~reason ~config
                    ~deadline_ms ~generation:st.generation ~trace ~source
                    ~roots:st.roots prog)
             in
-            if not (String.equal hier st.hier_hash) then
-              full "class hierarchy changed"
-            else begin
+            if lookup = `Suspect then
+              full "memo entry failed restoration or verification"
+            else if not (String.equal (hierarchy_fingerprint prog) st.hier_hash)
+            then full "class hierarchy changed"
+            else
               (* equal hierarchy fingerprints imply the same method-name
                  set, so the diff is exactly the hash mismatches *)
-              let touched_reachable =
+              match
                 List.filter
                   (fun n -> List.mem n st.reachable)
                   (changed_names hashes st.meth_hashes)
-              in
-              match touched_reachable with
-              | [] -> (
+              with
+              | [] ->
                   (* every edited body is outside the reachable set: the
                      fixed point is generated only from reachable bodies
                      plus the (unchanged) hierarchy, so the resident
                      image already holds the new program's fixed point.
                      Bound to [prog], it answers later redrains and
                      lints from the edited program. *)
-                  match C.Engine.of_snapshot_bytes ~prog st.snapshot with
-                  | Ok engine when certify engine ->
-                      let st' =
-                        {
-                          st with
-                          source;
-                          engine;
-                          snapshot = C.Engine.snapshot_bytes engine;
-                          meth_hashes = hashes;
-                          generation = st.generation + 1;
-                        }
-                      in
-                      Ok
-                        (candidate ~before:[ pre_add ] ~strategy:Reuse
-                           ~verified:true ~key st' (freeze st'))
-                  | Ok _ -> full "resident engine failed verification"
-                  | Error _ -> full "resident image does not fit the edit")
-              | name :: _ ->
+                  redrain ~config ~deadline_ms ~fallback:full ~strategy:Reuse
+                    ~key ~before:[ pre_add ] ~prog ~added:[]
+                    { st with source; meth_hashes = hashes }
+              | name :: _ as touched ->
                   full
                     (Printf.sprintf "%d reachable method(s) changed (%s)"
-                       (List.length touched_reachable) name)
-            end)
+                       (List.length touched) name)))
   end
 
 let analyze_roots ~config ~deadline_ms ~memo st ~roots =
-  let prog = C.Engine.prog_of st.engine in
-  match Api.resolve_roots prog roots with
+  match Api.resolve_roots (C.Engine.prog_of st.engine) roots with
   | Error e -> Error (Protocol.Api_error e)
   | Ok meths -> (
       let requested =
         Ids.Meth.Set.of_list (List.map (fun m -> m.Program.m_id) meths)
       in
       let current = C.Engine.roots st.engine in
-      (* not computed on the resident path: it digests the whole source *)
-      let key = lazy (memo_key ~config ~roots ~source:st.source) in
-      let memo_hit () =
-        let key = Lazy.force key in
-        match Memo.peek memo key with
-        | None -> None
-        | Some bytes -> (
-            match thaw bytes with
-            | Ok mst when certify mst.engine ->
-                Some
-                  (candidate ~strategy:Memo ~verified:true ~key
-                     { mst with generation = st.generation + 1 }
-                     bytes)
-            | Ok _ | Error _ -> None)
-      in
       if Ids.Meth.Set.equal requested current then Ok (unchanged st)
       else
-        match memo_hit () with
-        | Some o -> Ok o
-        | None ->
-      if not (Ids.Meth.Set.subset current requested) then
-        (* the root set shrank: retraction, which a monotone engine
-           cannot replay — full solve *)
-        solve_full ~reason:"root set shrank or was replaced" ~config
-          ~deadline_ms ~generation:st.generation ~source:st.source ~roots ()
-      else begin
-        let added =
-          List.filter
-            (fun (m : Program.meth) ->
-              not (Ids.Meth.Set.mem m.Program.m_id current))
-            meths
-        in
-        let budget, on_budget =
-          match deadline_ms with
-          | None -> (config.C.Config.budget, `Degrade)
-          | Some ms -> (deadline_budget ms, `Pause)
-        in
-        let fallback reason =
-          solve_full ~reason ~config ~deadline_ms ~generation:st.generation
-            ~source:st.source ~roots ()
-        in
-        (* drain a thaw of the resident image, which shares nothing with
-           the resident engine: a deadline trip (or any failure) rolls
-           back by keeping the resident state untouched *)
-        match C.Engine.of_snapshot_bytes ~budget st.snapshot with
-        | Error _ -> fallback "resident image failed to decode"
-        | Ok engine -> (
-            let thawed = C.Engine.prog_of engine in
-            List.iter
-              (fun (m : Program.meth) ->
-                C.Engine.add_root engine (Program.meth thawed m.Program.m_id))
-              added;
-            let r = C.Analysis.rerun ~on_budget engine in
-            match (r.C.Analysis.outcome, deadline_ms) with
-            | C.Engine.Paused _, Some deadline_ms ->
-                Error (Protocol.Deadline_exceeded { deadline_ms })
-            | C.Engine.Paused _, None ->
-                Error
-                  (Protocol.Api_error
-                     (Api.Internal_error "paused without deadline"))
-            | C.Engine.Completed, _ ->
-                if certify r.C.Analysis.engine then begin
-                  let st' =
-                    {
-                      st with
-                      roots;
-                      engine = r.C.Analysis.engine;
-                      snapshot = C.Engine.snapshot_bytes r.C.Analysis.engine;
-                      metrics = r.C.Analysis.metrics;
-                      reachable = reachable_names r.C.Analysis.engine;
-                      generation = st.generation + 1;
-                    }
-                  in
-                  Ok
-                    (candidate ~strategy:(Redrain (List.length added))
-                       ~verified:true ~key:(Lazy.force key) st' (freeze st'))
-                end
-                else fallback "re-drained engine failed verification")
-      end)
+        let key = memo_key ~config ~roots ~source:st.source in
+        match memo_lookup ~memo ~key st with
+        | `Hit o -> Ok o
+        | `Miss | `Suspect ->
+            let full reason =
+              solve_full ~reason ~config ~deadline_ms ~generation:st.generation
+                ~source:st.source ~roots ()
+            in
+            if not (Ids.Meth.Set.subset current requested) then
+              (* the root set shrank: retraction, which a monotone engine
+                 cannot replay — full solve *)
+              full "root set shrank or was replaced"
+            else
+              let added =
+                List.filter
+                  (fun (m : Program.meth) ->
+                    not (Ids.Meth.Set.mem m.Program.m_id current))
+                  meths
+              in
+              redrain ~config ~deadline_ms ~fallback:full
+                ~strategy:(Redrain (List.length added)) ~key ~added
+                { st with roots })
 
 (* ------------------------ equality certification ---------------------- *)
 

@@ -11,21 +11,25 @@
 
     - {b resident}: the request changes nothing (byte-identical source,
       identical root set) — serve the resident fixed point.
+    - {b redrain}: the root set grew.  {!Skipflow_core.Engine.add_root}
+      on a thaw of the resident image re-drains the worklist from the
+      new roots' boundary flows only, under the request's deadline;
+      monotone chaotic iteration from the old fixed point — a
+      pre-fixpoint of the grown constraint system — reaches the grown
+      system's least fixed point.
     - {b reuse}: the class hierarchy fingerprint is unchanged and every
       edited method is outside the resident reachable set.  The fixed
       point is generated only from reachable bodies plus the hierarchy,
-      so it is {e exactly} the new program's fixed point (this is the
+      so the resident one is {e exactly} the new program's (this is the
       paper's headline effect turned into an incremental win: the more
-      code SkipFlow proves unreachable, the more edits are free).  The
-      resident image is rebound to the edited program, so later
-      redrains and lints read the new bodies and positions.  Method
-      fingerprints cover every source span, so an edit that moves a
-      reachable method's code, even by whitespace, is {b full}.
-    - {b redrain}: the root set grew.  {!Skipflow_core.Engine.add_root}
-      on a thaw of the resident image re-drains the worklist from the
-      new roots' boundary flows only; monotone chaotic iteration from
-      the old fixed point — a pre-fixpoint of the grown constraint
-      system — reaches the grown system's least fixed point.
+      code SkipFlow proves unreachable, the more edits are free).  A
+      reuse is a re-drain, with no new roots, of the resident image
+      bound to the edited program: the path {b redrain} takes, with no
+      work to pop, so no deadline can trip it (and its thaw keeps the
+      budget the image was stored with).  Later redrains and lints read
+      the new bodies and positions.  Method fingerprints cover every
+      source span, so an edit that moves a reachable method's code, even
+      by whitespace, is {b full}.
     - {b memo}: the (source, roots, config) content hash — the PR 5
       {!Skipflow_core.Cache.key} machinery — hits the bounded in-memory
       memo of previously solved states (toggling edits, A→B→A).
@@ -119,10 +123,6 @@ module Memo : sig
       relief valve; costs recomputation, never correctness. *)
 end
 
-val memo_key : config:C.Config.t -> roots:string list -> source:string -> string
-(** The content-hash identity of a solved state ({!C.Cache.key} with the
-    daemon's scope discipline). *)
-
 (** {1 Operations} *)
 
 type outcome = {
@@ -185,6 +185,11 @@ val thaw : string -> (state, string) result
 (** Rebuild a frozen state; the engine is restored from its snapshot
     bytes with an unlimited budget.  The generation comes back as [0]
     for the caller to set.  [Error] on undecodable bytes. *)
+
+val thaw_certified : string -> (state, string) result
+(** {!thaw}, then {!C.Verify}: how a memo hit and a restarted daemon
+    trust bytes they did not just compute.  [Error] names the failed
+    step (["undecodable (...)"] or ["failed verification"]). *)
 
 (** {1 Equality certification} *)
 

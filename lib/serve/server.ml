@@ -260,6 +260,22 @@ let set_resident t st frozen =
 
 let maybe_snapshot t = if t.dirty then write_snapshot t
 
+(* Make a candidate the resident state, applying its memo writes, unless
+   it is the resident state already (a [resident] answer, whose
+   generation did not move).  Returns whether it mutated. *)
+let commit t (o : I.outcome) =
+  let mutated =
+    match t.st with
+    | Some s -> o.I.o_state.I.generation > s.I.generation
+    | None -> true
+  in
+  if mutated then begin
+    set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
+    List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
+    t.dirty <- true
+  end;
+  mutated
+
 (** Journal lines are [{"schema_version", "journal": {gen, digest, ok,
     response}}]; a torn last line (SIGKILL mid-append) parses as nothing
     and is skipped — losing at most the in-flight request, which the
@@ -421,17 +437,8 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
   let need_state f =
     match t.st with None -> Error P.No_program | Some st -> f st
   in
-  let commit (o : I.outcome) =
-    let mutated =
-      match t.st with
-      | Some s -> o.I.o_state.I.generation > s.I.generation
-      | None -> true
-    in
-    if mutated then begin
-      set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
-      List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
-      t.dirty <- true
-    end;
+  let answer o =
+    let mutated = commit t o in
     (summary_json t ~wall_us:(wall_us ()) o, mutated)
   in
   match env.P.req with
@@ -465,7 +472,7 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
               ~generation:0 ~source ~roots:t.cfg.sv_roots ()
         | Some st -> I.edit ~config ~deadline_ms ~memo:t.memo st ~source
       in
-      match r with Error _ as e -> e | Ok o -> Ok (commit o))
+      match r with Error _ as e -> e | Ok o -> Ok (answer o))
   | P.Analyze { roots } ->
       need_state (fun st ->
           let roots = Option.value ~default:st.I.roots roots in
@@ -473,7 +480,7 @@ let dispatch t (env : P.envelope) ~deadline_ms ~t0 =
             I.analyze_roots ~config ~deadline_ms ~memo:t.memo st ~roots
           with
           | Error _ as e -> e
-          | Ok o -> Ok (commit o))
+          | Ok o -> Ok (answer o))
 
 (* ----------------------------- processing ----------------------------- *)
 
@@ -640,21 +647,18 @@ let restore t dir m =
           let* bytes = load name in
           let* st =
             Result.map_error
-              (fun msg -> "resident state undecodable (" ^ msg ^ ")")
-              (I.thaw bytes)
+              (fun why -> "resident state " ^ why)
+              (I.thaw_certified bytes)
           in
-          if C.Verify.run st.I.engine <> [] then
-            Error "restored engine failed verification"
-          else
-            let* memo =
-              List.fold_right
-                (fun (key, name) acc ->
-                  let* l = acc in
-                  let* bytes = load name in
-                  Ok ((key, bytes) :: l))
-                m.mf_memo (Ok [])
-            in
-            Ok (Some ({ st with I.generation }, bytes, memo))
+          let* memo =
+            List.fold_right
+              (fun (key, name) acc ->
+                let* l = acc in
+                let* bytes = load name in
+                Ok ((key, bytes) :: l))
+              m.mf_memo (Ok [])
+          in
+          Ok (Some ({ st with I.generation }, bytes, memo))
   in
   match restored with
   | Error msg -> t.cfg.sv_log (msg ^ "; cold start")
@@ -724,9 +728,7 @@ let create ?initial ~resume cfg =
               with
               | Error err -> Error (P.error_message err)
               | Ok o ->
-                  set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
-                  List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
-                  t.dirty <- true;
+                  ignore (commit t o);
                   Ok ()))
   in
   match initial_result with

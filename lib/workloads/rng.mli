@@ -9,8 +9,6 @@ val split : t -> t
 (** An independent child generator: further draws from the parent do not
     perturb the child's stream. *)
 
-val next_int64 : t -> int64
-
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]; [n] must be positive. *)
 

@@ -168,9 +168,10 @@ let test_megacall_pause_stays_precise () =
   | C.Engine.Paused trip -> (
       Alcotest.(check bool) "the task cap paused it" true (trip = C.Budget.Tasks);
       let bytes = C.Engine.snapshot_bytes paused.C.Analysis.engine in
-      match C.Analysis.resume ~budget:C.Budget.unlimited bytes with
+      match C.Engine.of_snapshot_bytes ~budget:C.Budget.unlimited bytes with
       | Error msg -> Alcotest.failf "resume: %s" msg
-      | Ok finished ->
+      | Ok engine ->
+          let finished = C.Analysis.rerun engine in
           Alcotest.(check bool) "not degraded" false
             (C.Engine.is_degraded finished.C.Analysis.engine);
           Alcotest.(check int) "precise reachable count"

@@ -29,58 +29,89 @@ let reachable_ids e =
     (fun acc (m : Program.meth) -> Ids.Meth.Set.add m.Program.m_id acc)
     Ids.Meth.Set.empty (C.Engine.reachable_methods e)
 
-(* Flow-by-flow fixed-point comparison.  Per-method flow lists are in
-   construction order, which is deterministic for a given method, so
-   zipping the two runs' graphs lines the flows up 1:1. *)
+(* The serve daemon's flow-by-flow oracle: equal reachable names (a
+   method built twice is listed twice), and per method equal flow counts,
+   kinds, enabled bits and value states. *)
 let check_same_fixed_point ~ctx (a : C.Analysis.result) (b : C.Analysis.result) =
-  let ea = a.C.Analysis.engine and eb = b.C.Analysis.engine in
-  if not (Ids.Meth.Set.equal (reachable_ids ea) (reachable_ids eb)) then
-    Alcotest.failf "%s: reachable sets differ" ctx;
-  List.iter
-    (fun (ga : C.Graph.method_graph) ->
-      let mid = ga.C.Graph.g_meth.Program.m_id in
-      match C.Engine.graph_of eb mid with
-      | None -> Alcotest.failf "%s: method missing in reference run" ctx
-      | Some gb ->
-          let fa = ga.C.Graph.g_flows and fb = gb.C.Graph.g_flows in
-          if Array.length fa <> Array.length fb then
-            Alcotest.failf "%s: flow counts differ for a method" ctx;
-          Array.iter2
-            (fun (x : C.Flow.t) (y : C.Flow.t) ->
-              if x.C.Flow.enabled <> y.C.Flow.enabled then
-                Alcotest.failf "%s: enabled bit differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id;
-              if not (C.Vstate.equal x.C.Flow.state y.C.Flow.state) then
-                Alcotest.failf "%s: state differs on flow %d/%d: %a vs %a" ctx
-                  x.C.Flow.id y.C.Flow.id C.Vstate.pp x.C.Flow.state C.Vstate.pp
-                  y.C.Flow.state;
-              if not (C.Vstate.equal x.C.Flow.raw y.C.Flow.raw) then
-                Alcotest.failf "%s: raw state differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id)
-            fa fb)
-    (C.Engine.graphs ea)
+  match
+    Skipflow_serve.Incremental.same_fixed_point a.C.Analysis.engine
+      b.C.Analysis.engine
+  with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" ctx msg
+
+let configs =
+  [ ("skipflow", C.Config.skipflow); ("pta", C.Config.pta);
+    ("skipflow-product", { C.Config.skipflow with C.Config.pval = C.Pval.Product });
+  ]
+
+(* Recursion reached while the body is built: [g]'s own call is enabled
+   by the always-on predicate, as are [f] and [g]'s calls of each other. *)
+let recursive_srcs =
+  [
+    ("self-recursion", {|class Main { static void g() { Main.g(); } static void main() { Main.g(); } }|});
+    ( "mutual recursion",
+      {|class Main { static void f() { Main.g(); } static void g() { Main.f(); } static void main() { Main.f(); } }|}
+    );
+  ]
+
+let compile_main src =
+  let prog = F.Frontend.compile src in
+  (prog, Option.get (F.Frontend.main_of prog))
 
 let test_dedup_matches_reference_fuzz () =
-  for seed = 0 to 11 do
-    let prog, main =
-      W.Gen_random.compile
-        {
-          W.Gen_random.seed;
-          classes = 3 + (seed mod 7);
-          meths_per_class = 1 + (seed mod 3);
-          max_stmts = 4 + (seed mod 5);
-        }
-    in
-    List.iter
-      (fun (name, config) ->
-        let d = run ~mode:C.Engine.Dedup ~config prog main in
-        let r = run ~mode:C.Engine.Reference ~config prog main in
-        check_same_fixed_point ~ctx:(Printf.sprintf "seed %d, %s" seed name) d r)
-      [ ("skipflow", C.Config.skipflow); ("pta", C.Config.pta);
-        ( "skipflow-product",
-          { C.Config.skipflow with C.Config.pval = C.Pval.Product } );
-      ]
-  done
+  let generated =
+    List.init 12 (fun seed ->
+        ( Printf.sprintf "seed %d" seed,
+          W.Gen_random.compile
+            {
+              W.Gen_random.seed;
+              classes = 3 + (seed mod 7);
+              meths_per_class = 1 + (seed mod 3);
+              max_stmts = 4 + (seed mod 5);
+            } ))
+  in
+  List.iter
+    (fun (pname, (prog, main)) ->
+      List.iter
+        (fun (name, config) ->
+          let d = run ~mode:C.Engine.Dedup ~config prog main in
+          let r = run ~mode:C.Engine.Reference ~config prog main in
+          check_same_fixed_point ~ctx:(Printf.sprintf "%s, %s" pname name) d r)
+        configs)
+    (generated
+    @ List.map (fun (pname, src) -> (pname, compile_main src)) recursive_srcs)
+
+(* A method's graph is stored only once its build returns, but its
+   parameter and return flows are linkable from the start: a recursive
+   call the build enables links to them instead of building the method
+   again (which nested until the synchronous-depth limit). *)
+let test_each_method_built_once () =
+  List.iter
+    (fun (pname, src) ->
+      let prog, main = compile_main src in
+      List.iter
+        (fun (name, config) ->
+          List.iter
+            (fun (mname, mode) ->
+              let ctx = Printf.sprintf "%s, %s, %s" pname name mname in
+              let r = run ~mode ~config prog main in
+              let e = r.C.Analysis.engine in
+              let counter n = List.assoc n (C.Trace.counters r.C.Analysis.trace) in
+              Alcotest.(check int)
+                (ctx ^ ": build.methods = reachable count")
+                (C.Engine.reachable_count e) (counter "build.methods");
+              Alcotest.(check int)
+                (ctx ^ ": one graph per reachable method")
+                (C.Engine.reachable_count e)
+                (List.length (C.Engine.graphs e));
+              Alcotest.(check int)
+                (ctx ^ ": engine.live_flows = metrics flows")
+                r.C.Analysis.metrics.C.Metrics.flows
+                (counter "engine.live_flows"))
+            [ ("dedup", C.Engine.Dedup); ("ref", C.Engine.Reference) ])
+        configs)
+    recursive_srcs
 
 let example_srcs =
   [
@@ -145,8 +176,7 @@ let test_dedup_processes_fewer_tasks () =
   in
   List.iter
     (fun (name, src) ->
-      let prog = F.Frontend.compile src in
-      let main = Option.get (F.Frontend.main_of prog) in
+      let prog, main = compile_main src in
       ignore (check name prog main))
     example_srcs;
   (* on the benchmark-sized generated workload the reduction must be the
@@ -301,6 +331,8 @@ let suite =
     [
       Alcotest.test_case "dedup = reference fixed point (fuzz corpus)" `Quick
         test_dedup_matches_reference_fuzz;
+      Alcotest.test_case "each reachable method is built once" `Quick
+        test_each_method_built_once;
       Alcotest.test_case "dedup drains strictly fewer tasks" `Quick
         test_dedup_processes_fewer_tasks;
       Alcotest.test_case "budgeted dedup reaches a reachable superset" `Quick

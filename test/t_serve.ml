@@ -451,6 +451,39 @@ let test_deadline_rollback () =
   Alcotest.(check bool) "edit commits without deadline" true (bool_member "ok" j);
   Alcotest.(check int) "generation advanced" (gen0 + 1) (Sv.generation srv)
 
+(* Reuse and redrain are one re-drain of the resident image.  A reuse
+   adds no roots, so its drain pops no work and a deadline of 0 cannot
+   trip; a redrain's new roots do pop work, so the same deadline pauses
+   it and rolls back. *)
+let test_reuse_under_zero_deadline () =
+  let srv = create_exn ~initial:(`Text base_src) ~resume:false quiet_cfg in
+  let gen0 = Sv.generation srv in
+  let j =
+    one_response (Sv.handle_line srv (edit_req ~deadline_ms:0 1 dead_edit))
+  in
+  Alcotest.(check bool) "reuse under deadline 0 answers" true (bool_member "ok" j);
+  (match K.Json.member "result" j with
+  | Some r ->
+      Alcotest.(check string) "strategy" "reuse" (str_member "strategy" r);
+      Alcotest.(check bool) "verified" true (bool_member "verified" r)
+  | None -> Alcotest.fail "no result");
+  Alcotest.(check int) "committed" (gen0 + 1) (Sv.generation srv);
+  (match Sv.state srv with
+  | None -> Alcotest.fail "no resident state"
+  | Some st -> (
+      match I.same_fixed_point st.I.engine (fresh_engine ~source:dead_edit ~roots:[]) with
+      | Ok () -> ()
+      | Error msg -> Alcotest.failf "reuse under deadline 0 diverged: %s" msg));
+  let grown =
+    op_req ~extra:[ ("deadline_ms", K.Json.Int 0);
+                    ("roots", K.Json.Arr [ K.Json.Str "Main.main"; K.Json.Str "Dead.never" ]) ]
+      2 "analyze"
+  in
+  let j = one_response (Sv.handle_line srv grown) in
+  Alcotest.(check string) "a redrain under deadline 0 trips" "deadline_exceeded"
+    (str_member "kind" (error_of j));
+  Alcotest.(check int) "rolled back" (gen0 + 1) (Sv.generation srv)
+
 (* A ceiling of 0 MB stays exceeded even after the memo is dropped and
    the heap compacted (a live ballast guarantees a heap of at least
    2 MB): every mutating request is shed. *)
@@ -820,6 +853,8 @@ let suite =
         test_server_structured_errors;
       Alcotest.test_case "deadline trips roll the resident state back" `Quick
         test_deadline_rollback;
+      Alcotest.test_case "a reuse edit under deadline_ms 0 still answers reuse (verified)"
+        `Quick test_reuse_under_zero_deadline;
       Alcotest.test_case "memory ceiling sheds with a retry hint" `Quick
         test_memory_ceiling_shedding;
       Alcotest.test_case "kill -9 / resume replays byte-identically" `Quick

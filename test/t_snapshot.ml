@@ -148,39 +148,12 @@ let test_container_rejects_corruption () =
 
 (* ----------------------- fixed-point equivalence ---------------------- *)
 
-let reachable_ids e =
-  List.fold_left
-    (fun acc (m : Program.meth) -> Ids.Meth.Set.add m.Program.m_id acc)
-    Ids.Meth.Set.empty (C.Engine.reachable_methods e)
-
-(* Same flow-by-flow comparison as the dedup/reference differential
-   tests: per-method flow lists are in deterministic construction order,
-   so zipping lines them up 1:1. *)
-let check_same_fixed_point ~ctx (ea : C.Engine.t) (eb : C.Engine.t) =
-  if not (Ids.Meth.Set.equal (reachable_ids ea) (reachable_ids eb)) then
-    Alcotest.failf "%s: reachable sets differ" ctx;
-  List.iter
-    (fun (ga : C.Graph.method_graph) ->
-      let mid = ga.C.Graph.g_meth.Program.m_id in
-      match C.Engine.graph_of eb mid with
-      | None -> Alcotest.failf "%s: method missing in resumed run" ctx
-      | Some gb ->
-          let fa = ga.C.Graph.g_flows and fb = gb.C.Graph.g_flows in
-          if Array.length fa <> Array.length fb then
-            Alcotest.failf "%s: flow counts differ for a method" ctx;
-          Array.iter2
-            (fun (x : C.Flow.t) (y : C.Flow.t) ->
-              if x.C.Flow.enabled <> y.C.Flow.enabled then
-                Alcotest.failf "%s: enabled bit differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id;
-              if not (C.Vstate.equal x.C.Flow.state y.C.Flow.state) then
-                Alcotest.failf "%s: state differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id;
-              if not (C.Vstate.equal x.C.Flow.raw y.C.Flow.raw) then
-                Alcotest.failf "%s: raw state differs on flow %d/%d" ctx
-                  x.C.Flow.id y.C.Flow.id)
-            fa fb)
-    (C.Engine.graphs ea)
+(* The serve daemon's oracle: equal reachable names, and per method
+   equal flow counts, kinds, enabled bits and value states. *)
+let check_same_fixed_point ~ctx ea eb =
+  match Skipflow_serve.Incremental.same_fixed_point ea eb with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "%s: %s" ctx msg
 
 let corpus =
   List.map
@@ -195,8 +168,8 @@ let corpus =
     [ 0; 1; 2; 3; 4; 5; 6; 7 ]
 
 let resume_exn ~ctx ?budget ?on_budget bytes =
-  match C.Analysis.resume ?budget ?on_budget bytes with
-  | Ok r -> r
+  match C.Engine.of_snapshot_bytes ?budget bytes with
+  | Ok engine -> C.Analysis.rerun ?on_budget engine
   | Error msg -> Alcotest.failf "%s: resume failed: %s" ctx msg
 
 (* Pause under a tiny task budget, resume unlimited, and demand the
