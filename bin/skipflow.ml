@@ -122,13 +122,13 @@ let sat_arg = Arg.(value & opt (some int) None & info [ "saturation" ] ~docv:"K"
    budget caps one run and is never part of the configuration *)
 let budget_arg =
   let max_tasks =
-    Arg.(value & opt (some int) None & info [ "max-tasks" ] ~docv:"N" ~doc:"Budget: cap on worklist tasks; on trip the engine degrades to a sound, coarser fixed point")
+    Arg.(value & opt (some int) None & info [ "max-tasks" ] ~docv:"N" ~doc:"Budget: cap on the worklist tasks this run drains (a resumed run counts only its own); on trip the engine degrades to a sound, coarser fixed point")
   in
   let timeout =
-    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Budget: wall-clock cap on the fixed-point solve")
+    Arg.(value & opt (some float) None & info [ "timeout" ] ~docv:"SECONDS" ~doc:"Budget: wall-clock cap on this run's fixed-point solve")
   in
   let max_flows =
-    Arg.(value & opt (some int) None & info [ "max-flows" ] ~docv:"N" ~doc:"Budget: cap on live flows across all reachable methods")
+    Arg.(value & opt (some int) None & info [ "max-flows" ] ~docv:"N" ~doc:"Budget: cap on live flows across all reachable methods, a resumed solve's restored flows included")
   in
   Term.(
     const (fun max_tasks max_seconds max_flows ->
@@ -265,10 +265,11 @@ let resume_from_arg =
     & info [ "resume-from" ] ~docv:"SNAP"
         ~doc:
           "Continue a paused solve from a snapshot file; the resumed run \
-           uses the budget flags given here (default: unlimited) and \
-           reaches the same fixed point an uninterrupted run would.  A \
-           corrupt, truncated, or stale snapshot falls back to a full \
-           solve with a warning")
+           uses the budget flags given here (default: unlimited), where \
+           $(b,--max-tasks) and $(b,--timeout) count only the resumed \
+           run's own work, and reaches the same fixed point an \
+           uninterrupted run would.  A corrupt, truncated, or stale \
+           snapshot falls back to a full solve with a warning")
 
 let analyze_cmd =
   let run file config budget roots list_reachable dot dump_ir saturation
@@ -1375,7 +1376,7 @@ let serve_cmd =
           ~doc:
             "State directory: atomic snapshots of the resident solved \
              state plus a response journal, enabling --resume after a \
-             crash or kill")
+             crash or kill; a start without --resume empties it")
   in
   let resume_arg =
     Arg.(
@@ -1384,7 +1385,9 @@ let serve_cmd =
       & info [ "resume" ]
           ~doc:
             "Warm-start from the --state snapshot and re-emit journaled \
-             responses byte for byte when their requests arrive again")
+             responses byte for byte when their requests arrive again; \
+             a state dir written under another configuration or other \
+             roots is emptied instead, with a logged warning")
   in
   let socket_arg =
     Arg.(

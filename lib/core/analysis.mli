@@ -49,7 +49,8 @@ val rerun :
     recompute metrics: a solved engine that just gained roots via
     {!Engine.add_root} re-drains from the new roots' boundary flows
     only, and an engine {!Engine.of_snapshot_bytes} restored from a
-    paused run resumes under this call's [budget] (default: none).
+    paused run resumes under this call's [budget] (default: none), whose
+    task cap counts only the tasks this call drains.
     Either way monotone chaotic iteration lands on the fixed
     point a from-scratch solve reaches, flow by flow (pinned by the serve
     and snapshot tests).  [trace] defaults to the engine's own trace. *)

@@ -24,25 +24,14 @@ let is_unlimited b =
     enough that the engine has real in-flight state to degrade. *)
 let tiny = { unlimited with max_tasks = Some 25 }
 
-let check b ~tasks ~flows ~elapsed_s =
+let check b ~work ~flows ~elapsed_s =
   let tripped cap v = match cap with Some c -> v >= c | None -> false in
-  if tripped b.max_tasks tasks then Some Tasks
+  if tripped b.max_tasks work then Some Tasks
   else if tripped b.max_flows flows then Some Flows
   else
     match b.max_seconds with
     | Some cap when elapsed_s () >= cap -> Some Seconds
     | _ -> None
-
-(** Work-unit accounting for the engine's in-task probe: a single drained
-    task can resolve an unbounded number of callees/fields, so between
-    task boundaries the interprocedural links made {e inside the current
-    task} count toward the task cap.  [links] must be that in-task delta,
-    not a run-cumulative counter — the caller tracks the counter value at
-    the last task boundary.  This bounds the overshoot of [max_tasks] by
-    the work of one link, not one task, while tripping no earlier than
-    the boundary check itself. *)
-let check_work b ~tasks ~links ~flows ~elapsed_s =
-  check b ~tasks:(tasks + links) ~flows ~elapsed_s
 
 let trip_name = function
   | Tasks -> "task budget"

@@ -13,11 +13,13 @@
 
 type t = {
   max_tasks : int option;
-      (** cap on worklist tasks processed before degradation *)
+      (** cap on the worklist tasks this run drains (a resumed engine's
+          earlier tasks do not count) *)
   max_seconds : float option;
-      (** wall-clock cap; checked while draining the worklist *)
+      (** wall-clock cap on this run; checked while draining the worklist *)
   max_flows : int option;
-      (** cap on live flows (PVPG vertices) across all reachable methods *)
+      (** cap on live flows (PVPG vertices) across all reachable methods:
+          the engine's whole graph, restored flows included *)
   on_trip : [ `Degrade | `Pause ];
       (** the reaction to a trip (see {!Engine.run}); [make]'s default
           is [`Degrade] *)
@@ -39,23 +41,15 @@ val tiny : t
 (** A deliberately minuscule task cap, used by the fuzz harness to
     fault-inject the degradation path on every non-trivial input. *)
 
-val check : t -> tasks:int -> flows:int -> elapsed_s:(unit -> float) -> trip option
-(** [check b ~tasks ~flows ~elapsed_s] returns the first exceeded cap, if
-    any.  [elapsed_s] is a thunk so the clock is only read when a
-    wall-clock cap is actually configured. *)
-
-val check_work :
-  t -> tasks:int -> links:int -> flows:int -> elapsed_s:(unit -> float) -> trip option
-(** [check_work] is {!check} with work-unit accounting for checks made
-    {e inside} a task: a single drained invoke/field task can resolve an
-    unbounded number of callees (a "mega-flow"), during which the task
-    counter is frozen — so the interprocedural links made so far {e in
-    the current task} (and only those — [links] is the delta since the
-    last task boundary, never a run-cumulative count) are counted toward
-    [max_tasks] too.  {!Engine.run} calls this from the re-resolution
-    loops, bounding the [max_tasks] overshoot by one link's worth of
-    work instead of one task's (a property the budget regression test
-    pins down). *)
+val check : t -> work:int -> flows:int -> elapsed_s:(unit -> float) -> trip option
+(** [check b ~work ~flows ~elapsed_s] returns the first exceeded cap, if
+    any.  [work] is what the checking run did: the tasks it drained,
+    plus, when {!Engine.run} checks inside a task, the interprocedural
+    links made in that task.  One invoke task can resolve an unbounded
+    number of callees, so counting its links bounds a [max_tasks]
+    overshoot by one link's work, not one task's.  [flows] is the
+    engine's live-flow count.  [elapsed_s] is a thunk so the clock is
+    only read when a wall-clock cap is actually configured. *)
 
 val trip_name : trip -> string
 val pp : Format.formatter -> t -> unit

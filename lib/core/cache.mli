@@ -35,6 +35,11 @@ val dir : t -> string
 val quarantine_dir : t -> string
 (** Where corrupt entries are moved ([<dir>/quarantine]). *)
 
+val fingerprint : Config.t -> string
+(** Every configuration field and the cache schema version, as a
+    readable [name=value;...] string: equal strings mean equal
+    configurations. *)
+
 val key : config:Config.t -> scope:string -> source:string -> string
 (** The content hash (hex): digest of the source bytes, every
     configuration field, the cache schema version, and [scope] — any run

@@ -67,8 +67,8 @@ type stats = {
   max_queue : int;
   live_flows : int;  (** flows created across all reachable PVPGs *)
   budget_trips : int;  (** budget-cap trip events (0 or 1 per run) *)
-  trip_tasks : int;  (** tasks drained when the first cap tripped (0: no trip) *)
-  trip_flows : int;  (** live flows when the first cap tripped (0: no trip) *)
+  trip_tasks : int;  (** tasks drained at the latest trip (0: no trip) *)
+  trip_flows : int;  (** live flows at the latest trip (0: no trip) *)
   degraded : bool;  (** a budget trip switched the run to degradation mode *)
   first_trip : Budget.trip option;  (** which cap tripped first *)
 }
@@ -163,15 +163,6 @@ type t = {
           the drain and called inside the invoke/field re-resolution loops
           so a single mega-flow cannot overshoot the budget by more than
           one link's worth of work; a no-op outside a run *)
-  mutable pause : Budget.trip option;
-      (** pause-on-budget mode: the cap that tripped in this run; stop at
-          the next task boundary instead of degrading *)
-  mutable links_at_task : int;
-      (** [c_links] value at the current task's start, so the in-task
-          probe charges only the links made {e inside} this task toward
-          [max_tasks] — [c_links] itself is run-cumulative (and restored
-          across resumes), and charging it whole would trip the task cap
-          near [tasks + total_links] instead of [tasks] *)
 }
 
 let flow_meth_id (f : Flow.t) =
@@ -612,28 +603,18 @@ and notify t (f : Flow.t) =
          operand's new state *)
       recompute t f
 
-let degrade t (trip : Budget.trip) =
-  Trace.incr t.c.c_budget_trips;
-  if Trace.events_on t.trace then
-    Trace.event t.trace ~kind:"degrade"
-      ~arg:(match trip with Budget.Tasks -> 0 | Budget.Seconds -> 1 | Budget.Flows -> 2)
-      ();
-  if not t.degraded then begin
-    t.degraded <- true;
-    t.first_trip <- Some trip;
-    Trace.record_max t.c.c_trip_tasks (Trace.value t.c.c_tasks);
-    Trace.record_max t.c.c_trip_flows (Trace.value t.c.c_live_flows);
-    (* iterate a snapshot of the discovery list, not the table: degrading
-       a flow can link new callees synchronously, growing [t.graphs]
-       mid-walk (methods added during the walk are degraded on arrival by
-       {!ensure_reachable}) *)
-    List.iter
-      (fun (m : Program.meth) ->
-        match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
-        | Some g -> Array.iter (degrade_flow t) g.Graph.g_flows
-        | None -> ())
-      t.reachable_order
-  end
+let degrade t =
+  t.degraded <- true;
+  (* iterate a snapshot of the discovery list, not the table: degrading
+     a flow can link new callees synchronously, growing [t.graphs]
+     mid-walk (methods added during the walk are degraded on arrival by
+     {!ensure_reachable}) *)
+  List.iter
+    (fun (m : Program.meth) ->
+      match Ids.Meth.Tbl.find_opt t.graphs m.Program.m_id with
+      | Some g -> Array.iter (degrade_flow t) g.Graph.g_flows
+      | None -> ())
+    t.reachable_order
 
 (* --------------------------- construction ----------------------------- *)
 
@@ -700,8 +681,6 @@ let thaw ?trace wl fz =
       degraded = fz.fz_degraded;
       first_trip = fz.fz_first_trip;
       probe = (fun () -> ());
-      pause = None;
-      links_at_task = 0;
     }
   and emit =
     {
@@ -853,13 +832,10 @@ let load_snapshot ?trace path =
 
 (* ------------------------------ driver -------------------------------- *)
 
-let add_root ?seed_params t (m : Program.meth) =
+let add_root t (m : Program.meth) =
   t.roots <- Ids.Meth.Set.add m.Program.m_id t.roots;
-  let seed =
-    match seed_params with Some s -> s | None -> t.config.Config.seed_root_params
-  in
   let g = ensure_reachable t m in
-  if seed then begin
+  if t.config.Config.seed_root_params then begin
     let body = g.Graph.g_body in
     List.iter2
       (fun v pf ->
@@ -878,7 +854,6 @@ let add_root ?seed_params t (m : Program.meth) =
     no-op if enable just covered it), then notify. *)
 let process_flow t (f : Flow.t) =
   Trace.incr t.c.c_tasks;
-  t.links_at_task <- Trace.value t.c.c_links;
   let w = f.Flow.work in
   f.Flow.work <- 0;
   if w land Flow.wk_enable <> 0 then begin
@@ -896,7 +871,6 @@ let process_flow t (f : Flow.t) =
 
 let process_rtask t task =
   Trace.incr t.c.c_tasks;
-  t.links_at_task <- Trace.value t.c.c_links;
   match task with
   | REnable f ->
       Trace.incr t.c.c_enable;
@@ -918,8 +892,10 @@ let process_rtask t task =
     verifies by comparing runs.
 
     The run is subject to [budget] (default {!Budget.unlimited}), which
-    the engine does not keep.  When a cap trips, the reaction is
-    [budget.on_trip]:
+    the engine does not keep: every piece of budget bookkeeping is local
+    to this call.  The task cap counts only the tasks this run drains,
+    and the clock starts with it.  When a cap trips, the one trip path
+    records it and applies [budget.on_trip]:
 
     - [`Degrade] (default): switch to degradation mode ({!degrade}) and
       finish at a sound but coarser fixed point instead of aborting;
@@ -942,67 +918,59 @@ let run ?random_order ?(budget = Budget.unlimited) t =
   (* clamped against backwards clock steps: a negative elapsed time
      would make the wall budget unreachable *)
   let elapsed_s () = Float.max 0.0 (Unix.gettimeofday () -. start) in
-  let trip_reaction trip =
+  let tasks_at_start = Trace.value t.c.c_tasks in
+  (* [c_links] at the current task's start: the in-task probe charges
+     only the links made inside this task *)
+  let task_links = ref (Trace.value t.c.c_links) in
+  let paused = ref None in
+  (* One trip path for both reactions.  [first_trip] keeps the cap that
+     tripped first over the engine's life; the trip counters record the
+     engine's totals at this trip. *)
+  let trip kind =
+    Trace.incr t.c.c_budget_trips;
+    if Option.is_none t.first_trip then t.first_trip <- Some kind;
+    Trace.record_max t.c.c_trip_tasks (Trace.value t.c.c_tasks);
+    Trace.record_max t.c.c_trip_flows (Trace.value t.c.c_live_flows);
+    if Trace.events_on t.trace then
+      Trace.event t.trace
+        ~kind:(match budget.Budget.on_trip with `Degrade -> "degrade" | `Pause -> "pause")
+        ~arg:(match kind with Budget.Tasks -> 0 | Budget.Seconds -> 1 | Budget.Flows -> 2)
+        ();
     match budget.Budget.on_trip with
-    | `Degrade -> degrade t trip
-    | `Pause ->
-        if Option.is_none t.pause then begin
-          t.pause <- Some trip;
-          Trace.incr t.c.c_budget_trips;
-          if t.first_trip = None then t.first_trip <- Some trip;
-          Trace.record_max t.c.c_trip_tasks (Trace.value t.c.c_tasks);
-          Trace.record_max t.c.c_trip_flows (Trace.value t.c.c_live_flows);
-          if Trace.events_on t.trace then
-            Trace.event t.trace ~kind:"pause"
-              ~arg:
-                (match trip with
-                | Budget.Tasks -> 0
-                | Budget.Seconds -> 1
-                | Budget.Flows -> 2)
-              ()
-        end
+    | `Degrade -> degrade t
+    | `Pause -> paused := Some kind
   in
-  let live () = (not t.degraded) && Option.is_none t.pause in
-  let step_budget () =
-    if live () && not (Budget.is_unlimited budget) then
-      match
-        Budget.check budget ~tasks:(Trace.value t.c.c_tasks)
-          ~flows:(Trace.value t.c.c_live_flows) ~elapsed_s
-      with
-      | Some trip -> trip_reaction trip
-      | None -> ()
+  (* [in_task]: the links made so far inside the task being drained *)
+  let check =
+    if Budget.is_unlimited budget then fun _ -> ()
+    else fun in_task ->
+      if (not t.degraded) && Option.is_none !paused then
+        match
+          Budget.check budget
+            ~work:(Trace.value t.c.c_tasks - tasks_at_start + in_task)
+            ~flows:(Trace.value t.c.c_live_flows) ~elapsed_s
+        with
+        | Some kind -> trip kind
+        | None -> ()
   in
-  (* installed on [t] for the duration of the run; called from the
-     invoke/field re-resolution loops (see {!Budget.check_work}) *)
-  let probe () =
-    if live () && not (Budget.is_unlimited budget) then
-      match
-        Budget.check_work budget ~tasks:(Trace.value t.c.c_tasks)
-          ~links:(Trace.value t.c.c_links - t.links_at_task)
-          ~flows:(Trace.value t.c.c_live_flows) ~elapsed_s
-      with
-      | Some trip -> trip_reaction trip
-      | None -> ()
+  t.probe <- (fun () -> check (Trace.value t.c.c_links - !task_links));
+  let step process x =
+    task_links := Trace.value t.c.c_links;
+    process t x;
+    check 0
   in
-  t.probe <- probe;
-  (* links made before the first task (root seeding, restored counters)
-     are not this task's work *)
-  t.links_at_task <- Trace.value t.c.c_links;
   let drain_fifo () =
     match t.mode with
     | Dedup ->
-        while Option.is_none t.pause && not (Worklist.is_empty t.wl) do
-          process_flow t (Worklist.pop_exn t.wl);
-          step_budget ()
+        while Option.is_none !paused && not (Worklist.is_empty t.wl) do
+          step process_flow (Worklist.pop_exn t.wl)
         done
     | Reference ->
         let continue_ = ref true in
-        while !continue_ && Option.is_none t.pause do
+        while !continue_ && Option.is_none !paused do
           match Queue.take_opt t.rqueue with
           | None -> continue_ := false
-          | Some task ->
-              process_rtask t task;
-              step_budget ()
+          | Some task -> step process_rtask task
         done
   in
   let drain_random seed =
@@ -1021,9 +989,8 @@ let run ?random_order ?(budget = Budget.unlimited) t =
       let f = !bag.(i) in
       !bag.(i) <- !bag.(!len - 1);
       decr len;
-      process_flow t f;
-      step_budget ();
-      if Option.is_some t.pause then begin
+      step process_flow f;
+      if Option.is_some !paused then begin
         (* hand the still-bagged flows back to the queue so a snapshot
            sees them as pending work *)
         for k = 0 to !len - 1 do
@@ -1040,10 +1007,9 @@ let run ?random_order ?(budget = Budget.unlimited) t =
   let drain () =
     match random_order with None -> drain_fifo () | Some s -> drain_random s
   in
+  Fun.protect ~finally:(fun () -> t.probe <- (fun () -> ())) @@ fun () ->
   drain ();
-  let paused = t.pause in
-  t.pause <- None;
-  if Option.is_none paused && t.degraded then begin
+  if Option.is_none !paused && t.degraded then begin
     (* Degradation introduces [Any] object states.  An invoke (or field
        access) observing an [Any] receiver no longer sees incremental
        notifications when further types are instantiated (its receiver
@@ -1080,8 +1046,7 @@ let run ?random_order ?(budget = Budget.unlimited) t =
     in
     close (signature ())
   end;
-  t.probe <- (fun () -> ());
-  match paused with Some trip -> Paused trip | None -> Completed
+  match !paused with Some trip -> Paused trip | None -> Completed
 
 (* ------------------------------ results ------------------------------- *)
 

@@ -49,11 +49,12 @@ type stats = {
   live_flows : int;  (** flows created across all reachable PVPGs *)
   budget_trips : int;  (** budget-cap trip events (0 or 1 per run) *)
   trip_tasks : int;
-      (** tasks drained when the first cap tripped (0 when none did) —
-          with {!Budget.check_work} probing inside the re-resolution
-          loops, bounded by the cap plus one task's pre-trip links *)
+      (** [tasks_processed] at the engine's latest trip (0 when none
+          did).  A run that started at [s] tasks trips its [max_tasks n]
+          at no more than [s + n]: the links made inside a task count
+          toward the cap too *)
   trip_flows : int;
-      (** live flows when the first cap tripped (0 when none did); the
+      (** live flows at the engine's latest trip (0 when none did); the
           budget regression test pins its distance from [max_flows] *)
   degraded : bool;  (** a budget trip switched the run to degradation mode *)
   first_trip : Budget.trip option;  (** which cap tripped first *)
@@ -72,11 +73,11 @@ val create : ?mode:mode -> ?trace:Trace.t -> Skipflow_ir.Program.t -> Config.t -
     enabled — the solver event stream (joins, enables, links, invoke
     resolutions, saturation trips, budget degradations). *)
 
-val add_root : ?seed_params:bool -> t -> Skipflow_ir.Program.meth -> unit
-(** Make a method an analysis root (building its PVPG).  [seed_params]
-    (default from the config) seeds object parameters with all
-    instantiated subtypes of their declared type and primitives with
-    [Any] — the Section 5 reflection/JNI root policy. *)
+val add_root : t -> Skipflow_ir.Program.meth -> unit
+(** Make a method an analysis root (building its PVPG).  Under the
+    config's [seed_root_params], its object parameters are seeded with
+    all instantiated subtypes of their declared type and its primitives
+    with [Any] — the Section 5 reflection/JNI root policy. *)
 
 val run : ?random_order:int -> ?budget:Budget.t -> t -> outcome
 (** Drain the worklist to the fixed point.  With [random_order:seed],
@@ -86,8 +87,13 @@ val run : ?random_order:int -> ?budget:Budget.t -> t -> outcome
     engine raises [Invalid_argument].
 
     The run honors [budget] (default {!Budget.unlimited}), an argument
-    of this run only: neither the engine nor its snapshot keeps it.  Its
-    [on_trip] field selects the reaction when a cap trips:
+    of this run only: neither the engine nor its snapshot keeps it.
+    [max_tasks] counts the tasks this run drains and [max_seconds] this
+    run's wall time, so a resumed engine's earlier work does not count;
+    [max_flows] caps the engine's whole graph.  Every trip increments
+    [stats.budget_trips] and records [trip_tasks]/[trip_flows];
+    [first_trip] keeps the cap that tripped first.  The budget's
+    [on_trip] field selects the reaction:
 
     - [`Degrade] (default): the engine does not abort — it switches to
       degradation mode (all flows enabled, object flows saturated to the
@@ -97,13 +103,13 @@ val run : ?random_order:int -> ?budget:Budget.t -> t -> outcome
       always a superset of the precise one.
     - [`Pause]: nothing is widened — the engine stops at the next task
       boundary and returns [Paused trip], naming the cap.  Resuming the
-      engine's snapshot ([run] it again, with no budget or a larger
-      one) continues to the identical fixed point, flow by flow.
+      engine's snapshot ([run] it again, as often as a pausing budget
+      needs) continues to the identical fixed point, flow by flow.
 
     Budget caps are checked after every drained task {e and}, via an
-    in-task probe, after every interprocedural link
-    ({!Budget.check_work}), so a single invoke resolving many callees
-    cannot overshoot a cap unboundedly. *)
+    in-task probe, after every interprocedural link (the task's links
+    count as work, see {!Budget.check}), so a single invoke resolving
+    many callees cannot overshoot a cap unboundedly. *)
 
 (** {2 Checkpointing}
 

@@ -101,13 +101,11 @@ let blob_path dir name = Filename.concat (blob_dir dir) (name ^ ".blob")
 
 let digest_line line = Digest.to_hex (Digest.string (String.trim line))
 
-(* restarting under a different analysis configuration silently mixing
-   with a snapshot solved under the old one would be exactly the kind of
-   skew the fallback machinery exists for — detect it by content hash *)
+(* what a state dir was solved under, readable in the manifest and in
+   the log line of a start that refuses it: resuming under another
+   configuration or other roots would serve the old one's answers *)
 let config_fingerprint cfg =
-  C.Cache.key ~config:cfg.sv_config
-    ~scope:("serve-config;roots=" ^ String.concat "," cfg.sv_roots)
-    ~source:""
+  C.Cache.fingerprint cfg.sv_config ^ ";roots=" ^ String.concat "," cfg.sv_roots
 
 type manifest = {
   mf_config_fp : string;
@@ -609,9 +607,9 @@ let sweep t dir ~referenced =
         else ignore (C.Io.unlink path))
     (entries (blob_dir dir))
 
-(* Warm start from a manifest, guarded by the configuration fingerprint,
-   every referenced blob's container checks, and the Verify certifier.
-   Any suspicion — a missing or damaged blob included — is a logged cold
+(* Warm start from a manifest of this configuration, guarded by every
+   referenced blob's container checks and the Verify certifier.  Any
+   suspicion — a missing or damaged blob included — is a logged cold
    start: the journal then replays every request from scratch. *)
 let restore t dir m =
   let ( let* ) = Result.bind in
@@ -635,27 +633,24 @@ let restore t dir m =
             Error ("serve state blob rejected (" ^ C.Snapshot.error_message e ^ ")"))
   in
   let restored =
-    if not (String.equal m.mf_config_fp (config_fingerprint t.cfg)) then
-      Error "serve snapshot was written under a different configuration"
-    else
-      match m.mf_resident with
-      | None -> Ok None
-      | Some (name, generation) ->
-          let* bytes = load name in
-          let* st =
-            Result.map_error
-              (fun why -> "resident state " ^ why)
-              (I.thaw_certified bytes)
-          in
-          let* memo =
-            List.fold_right
-              (fun (key, name) acc ->
-                let* l = acc in
-                let* bytes = load name in
-                Ok ((key, bytes) :: l))
-              m.mf_memo (Ok [])
-          in
-          Ok (Some ({ st with I.generation }, bytes, memo))
+    match m.mf_resident with
+    | None -> Ok None
+    | Some (name, generation) ->
+        let* bytes = load name in
+        let* st =
+          Result.map_error
+            (fun why -> "resident state " ^ why)
+            (I.thaw_certified bytes)
+        in
+        let* memo =
+          List.fold_right
+            (fun (key, name) acc ->
+              let* l = acc in
+              let* bytes = load name in
+              Ok ((key, bytes) :: l))
+            m.mf_memo (Ok [])
+        in
+        Ok (Some ({ st with I.generation }, bytes, memo))
   in
   match restored with
   | Error msg -> t.cfg.sv_log (msg ^ "; cold start")
@@ -684,20 +679,42 @@ let create ?initial ~resume cfg =
       mem_shed = 0;
     }
   in
+  (* A state dir is resumed whole — manifest, blobs and journal — or not
+     at all: a start without [resume], or over a manifest written under
+     another configuration, empties it.  The journal goes first: a crash
+     mid-way may leave a manifest without its journal, never a journal
+     without the manifest that tells whose it is. *)
+  let start_empty dir =
+    List.iter
+      (fun path -> if Sys.file_exists path then ignore (C.Io.unlink path))
+      [ journal_path dir; snap_path dir ];
+    sweep t dir ~referenced:[]
+  in
   Option.iter
     (fun dir ->
       ignore (C.Io.mkdir_p (blob_dir dir));
-      let manifest = read_manifest dir in
-      sweep t dir
-        ~referenced:
-          (match manifest with Ok (Some m) -> manifest_blobs m | _ -> []);
-      if resume then begin
-        (match manifest with
-        | Ok None -> () (* no snapshot yet *)
-        | Error msg -> cfg.sv_log msg
-        | Ok (Some m) -> restore t dir m);
-        t.replay <- read_journal (journal_path dir)
-      end)
+      let ours = config_fingerprint cfg in
+      if not resume then start_empty dir
+      else
+        match read_manifest dir with
+        | Ok (Some m) when not (String.equal m.mf_config_fp ours) ->
+            cfg.sv_log
+              (Printf.sprintf
+                 "serve state was written under another configuration (%s; \
+                  this run: %s); starting fresh"
+                 m.mf_config_fp ours);
+            start_empty dir
+        | manifest ->
+            let m =
+              match manifest with
+              | Ok m -> m (* [None]: no snapshot yet *)
+              | Error msg ->
+                  cfg.sv_log msg;
+                  None
+            in
+            sweep t dir ~referenced:(Option.fold ~none:[] ~some:manifest_blobs m);
+            Option.iter (restore t dir) m;
+            t.replay <- read_journal (journal_path dir))
     cfg.sv_state_dir;
   let initial_result =
     if t.st <> None then Ok () (* the snapshot wins over [initial] *)

@@ -49,15 +49,18 @@ type t
 
 val create : ?initial:Api.source -> resume:bool -> cfg -> (t, string) result
 (** Start a daemon.  [initial] loads and fully solves a program before
-    serving (its errors fail creation — the CLI contract).  With
-    [resume:true] and a state dir, the last snapshot is restored (config
-    fingerprint, container CRCs, schema versions and the {!C.Verify}
+    serving (its errors fail creation — the CLI contract).  A state dir
+    is resumed whole or not at all.  With [resume:true] and a manifest
+    written under this configuration and these roots, the last snapshot
+    is restored (container CRCs, schema versions and the {!C.Verify}
     certifier all guard it; any suspicion — a missing or damaged blob
     included — falls back to a cold start with a logged warning, never a
-    refusal) and the journal is loaded for replay.  A resumed daemon
-    prefers the snapshot over [initial].  With a state dir, creation
-    also sweeps blobs the manifest does not reference and [*.tmp.*]
-    leftovers of a crashed writer. *)
+    refusal) and the journal is loaded for replay; creation also sweeps
+    blobs the manifest does not reference and [*.tmp.*] leftovers of a
+    crashed writer.  A start with [resume:false], or over a manifest
+    written under another configuration (logged, with both
+    fingerprints), empties the dir: manifest, journal and every blob.
+    A resumed daemon prefers the snapshot over [initial]. *)
 
 val handle_line : t -> string -> string list
 (** Process one request line to completion: parse, replay-match,

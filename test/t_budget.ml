@@ -1,14 +1,18 @@
 (* The mega-flow overshoot regression: a single drained invoke task can
-   resolve many callees, and without the in-task probe
-   ([Budget.check_work] after every interprocedural link) the engine
-   would only notice a tripped cap at the next task boundary — after
-   building every callee's PVPG.  These tests pin the overshoot bound:
-   the flow count recorded at trip time stays within one callee's worth
-   of flows of the cap, even when one call site fans out to dozens of
-   targets. *)
+   resolve many callees, and without the in-task probe (a
+   [Budget.check] after every interprocedural link, counting the task's
+   links as work) the engine would only notice a tripped cap at the next
+   task boundary — after building every callee's PVPG.  These tests pin
+   the overshoot bound: the flow count recorded at trip time stays
+   within one callee's worth of flows of the cap, even when one call
+   site fans out to dozens of targets.  The last two pin what a budget
+   counts: a resumed run's task cap caps that run's own tasks, and an
+   engine keeps the cap that tripped first. *)
 
 module C = Skipflow_core
 module F = Skipflow_frontend
+module W = Skipflow_workloads
+module I = Skipflow_serve.Incremental
 
 let n_subclasses = 40
 
@@ -164,6 +168,72 @@ let test_megacall_pause_stays_precise () =
             (C.Engine.reachable_count precise.C.Analysis.engine)
             (C.Engine.reachable_count finished.C.Analysis.engine))
 
+(* Resuming under the cap that paused a solve makes progress: the cap
+   counts the tasks the resumed run drains, not the engine's lifetime
+   total, so every resume that pauses again has drained a full cap, and
+   the chain of resumes lands on the straight fixed point. *)
+let test_resume_cap_counts_own_tasks () =
+  let prog, main =
+    W.Gen.compile { W.Gen.default_params with W.Gen.live_units = 4; dead_units = 2 }
+  in
+  let straight = run prog main in
+  let cap = 200 in
+  let budget = C.Budget.make ~max_tasks:cap ~on_trip:`Pause () in
+  (* each resume drains at least [cap] tasks, so this many always do *)
+  let max_resumes = ((stats straight).C.Engine.tasks_processed / cap) + 2 in
+  let rec resume k (r : C.Analysis.result) =
+    match r.C.Analysis.outcome with
+    | C.Engine.Completed -> r
+    | C.Engine.Paused _ -> (
+        if k > max_resumes then
+          Alcotest.failf "still paused after %d resumes" max_resumes;
+        match C.Engine.of_snapshot_bytes (C.Engine.snapshot_bytes r.C.Analysis.engine) with
+        | Error msg -> Alcotest.failf "resume %d: %s" k msg
+        | Ok engine ->
+            let before = (C.Engine.stats engine).C.Engine.tasks_processed in
+            let next = C.Analysis.rerun ~budget engine in
+            let drained = (stats next).C.Engine.tasks_processed - before in
+            (match next.C.Analysis.outcome with
+            | C.Engine.Paused _ when drained < cap ->
+                Alcotest.failf "resume %d drained %d tasks under a %d-task cap" k
+                  drained cap
+            | _ -> ());
+            resume (k + 1) next)
+  in
+  let first = run ~budget prog main in
+  (match first.C.Analysis.outcome with
+  | C.Engine.Paused _ -> ()
+  | C.Engine.Completed -> Alcotest.failf "the program finished under %d tasks" cap);
+  let final = resume 1 first in
+  match I.same_fixed_point final.C.Analysis.engine straight.C.Analysis.engine with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "the resumed chain diverged: %s" msg
+
+(* [first_trip] is the cap that tripped first over the engine's life: a
+   solve paused on its task cap and degraded on a flow cap when resumed
+   still names the task cap. *)
+let test_first_trip_kept () =
+  let prog, main = compile () in
+  let paused =
+    run ~budget:(C.Budget.make ~max_tasks:50 ~on_trip:`Pause ()) prog main
+  in
+  (match paused.C.Analysis.outcome with
+  | C.Engine.Paused C.Budget.Tasks -> ()
+  | _ -> Alcotest.fail "the mega-call did not pause on its task cap");
+  match C.Engine.of_snapshot_bytes (C.Engine.snapshot_bytes paused.C.Analysis.engine) with
+  | Error msg -> Alcotest.failf "resume: %s" msg
+  | Ok engine ->
+      let s =
+        stats (C.Analysis.rerun ~budget:(C.Budget.make ~max_flows:1 ()) engine)
+      in
+      Alcotest.(check bool) "the flow cap degraded the resumed run" true
+        s.C.Engine.degraded;
+      Alcotest.(check int) "two trips" 2 s.C.Engine.budget_trips;
+      match s.C.Engine.first_trip with
+      | Some C.Budget.Tasks -> ()
+      | Some t -> Alcotest.failf "first trip reported as the %s" (C.Budget.trip_name t)
+      | None -> Alcotest.fail "no trip recorded"
+
 let suite =
   ( "budget",
     [
@@ -177,4 +247,7 @@ let suite =
         test_megacall_degradation_sound;
       Alcotest.test_case "mega-call pause resumes precisely" `Quick
         test_megacall_pause_stays_precise;
+      Alcotest.test_case "a resumed run's cap counts its own tasks" `Quick
+        test_resume_cap_counts_own_tasks;
+      Alcotest.test_case "first trip kept" `Quick test_first_trip_kept;
     ] )

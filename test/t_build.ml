@@ -12,8 +12,8 @@ let graph_of ?(config = C.Config.skipflow) src ~cls ~meth =
   let prog = F.Frontend.compile src in
   let c = Option.get (Program.find_class prog cls) in
   let m = Option.get (Program.find_meth prog c meth) in
-  let e = C.Engine.create prog config in
-  C.Engine.add_root ~seed_params:false e m;
+  let e = C.Engine.create prog { config with C.Config.seed_root_params = false } in
+  C.Engine.add_root e m;
   let g = Option.get (C.Engine.graph_of e m.Program.m_id) in
   (prog, e, g)
 

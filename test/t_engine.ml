@@ -257,7 +257,7 @@ class Main {
      every instantiated subtype of H *)
   let e = C.Engine.create prog C.Config.skipflow in
   C.Engine.add_root e main;
-  C.Engine.add_root ~seed_params:true e endpoint;
+  C.Engine.add_root e endpoint;
   ignore (C.Engine.run e);
   Alcotest.(check bool) "HSpecial.handle reachable via seeded root" true
     (reachable e prog "HSpecial.handle");

@@ -787,6 +787,43 @@ let test_stale_blob_cold_start () =
       Sys.remove (Filename.concat dir "journal.jsonl");
       check_logged_cold_start dir)
 
+(* A state dir is resumed only under the configuration and roots it was
+   written under: a --resume under PTA over a SkipFlow dir logs the
+   mismatch and answers what a fresh PTA session answers, not the
+   journaled SkipFlow responses. *)
+let test_resume_other_config_starts_fresh () =
+  let lines = [ edit_req 1 base_src; op_req 2 "analyze" ] in
+  let pta = { quiet_cfg with Sv.sv_config = C.Config.pta } in
+  let fresh_pta = run_all (create_exn ~resume:false pta) lines in
+  with_state_dir (fun dir ->
+      ignore (run_all (create_exn ~resume:false (state_cfg dir)) lines);
+      let warned = ref [] in
+      let srv =
+        create_exn ~resume:true
+          { pta with
+            Sv.sv_state_dir = Some dir;
+            sv_log = (fun m -> warned := m :: !warned);
+          }
+      in
+      Alcotest.(check (list string)) "answers as a fresh PTA session" fresh_pta
+        (run_all srv lines);
+      Alcotest.(check bool) "the mismatch is logged" true
+        (List.exists (contains ~sub:"another configuration") !warned);
+      Alcotest.(check bool) "and names this run's configuration" true
+        (List.exists (contains ~sub:"predicates=false") !warned))
+
+(* A start without --resume empties the state dir, so a later --resume
+   replays this session's journal, not an older session's lines ahead
+   of it. *)
+let test_fresh_start_empties_dir () =
+  let lines = [ edit_req 1 base_src; op_req 2 "analyze" ] in
+  with_state_dir (fun dir ->
+      ignore (run_all (create_exn ~resume:false (state_cfg dir)) [ edit_req 1 dead_edit ]);
+      let second = run_all (create_exn ~resume:false (state_cfg dir)) lines in
+      Alcotest.(check (list string)) "the resume replays the second session"
+        second
+        (run_all (create_exn ~resume:true (state_cfg dir)) lines))
+
 (* An edit that only moves code is a full solve, so positions in a
    following lint are the edited source's, as in a fresh lint. *)
 let test_lint_after_line_shift () =
@@ -871,6 +908,10 @@ let suite =
         test_v1_snapshot_cold_start;
       Alcotest.test_case "a stale-version blob is a logged cold start" `Quick
         test_stale_blob_cold_start;
+      Alcotest.test_case "a resume under another configuration starts fresh"
+        `Quick test_resume_other_config_starts_fresh;
+      Alcotest.test_case "a non-resumed start empties the state dir" `Quick
+        test_fresh_start_empties_dir;
       Alcotest.test_case "a failed snapshot is retried by the next request"
         `Quick test_failed_snapshot_retried;
       Alcotest.test_case "lint after a line-shifting edit matches a fresh lint"
