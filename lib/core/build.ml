@@ -407,9 +407,8 @@ let run ctx (meth : Program.meth) : Graph.method_graph =
   List.iter
     (fun (blk : Bl.block) ->
       let b = get_state blk.Bl.b_id in
-      (* walk instructions and spans together without materializing the
-         padded span list ([Bl.insn_spans]) — this loop runs once per
-         reachable instruction per analysis, so the cons cells add up *)
+      (* walk instructions and spans together, a missing span reading as
+         [None] (see [Bl.b_spans]) *)
       let rec walk insns spans =
         match insns with
         | [] -> ()

@@ -39,13 +39,11 @@ let fresh_tmp ctx prefix =
   ctx.tmp <- n + 1;
   Printf.sprintf "$%s%d" prefix n
 
-let span_of (e : Tast.texpr) =
-  Some (Span.make ~line:e.Tast.pos.Lexer.line ~col:e.Tast.pos.Lexer.col)
-
-(* Spans are recorded by the builder at emission time, so each case below
-   re-sets the current span to its own expression right before emitting
-   (lowering a sub-expression moves it). *)
-let set_sp ctx (e : Tast.texpr) = Ssa_builder.set_span ctx.b (span_of e)
+(* Spans are made by the builder at emission time, so each case below
+   re-sets the current position to its own expression right before
+   emitting (lowering a sub-expression moves it). *)
+let set_sp ctx (e : Tast.texpr) =
+  Ssa_builder.set_pos ctx.b ~line:e.Tast.pos.Lexer.line ~col:e.Tast.pos.Lexer.col
 
 let default_value ctx blk (ty : Ty.t) =
   match ty with

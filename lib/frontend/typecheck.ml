@@ -24,6 +24,7 @@ type env = {
   cls : Program.cls;  (** current class *)
   meth : Program.meth;  (** current method *)
   locals : (string, Ty.t) Hashtbl.t;
+  mutable scope : string list;  (** locals declared in the innermost block *)
 }
 
 let rec lower_ty prog pos : Ast.ty -> Ty.t = function
@@ -359,6 +360,7 @@ let rec check_stmt env (s : Ast.stmt) : Tast.tstmt =
           init
       in
       Hashtbl.replace env.locals name ty;
+      env.scope <- name :: env.scope;
       Tast.TSDecl (name, ty, tinit)
   | Ast.AssignLocal (name, e) -> (
       match Hashtbl.find_opt env.locals name with
@@ -454,10 +456,16 @@ let rec check_stmt env (s : Ast.stmt) : Tast.tstmt =
     the block do not leak out.  This matters for the SSA lowering — a
     variable declared in only one branch has no definition on the other
     path, so allowing it to escape would produce reads of undefined SSA
-    values. *)
+    values.  Shadowing is an error, so removing the block's own names when
+    it ends restores the enclosing scope (a failed check abandons the
+    whole method, so it needs no restoring). *)
 and check_scoped env stmts =
-  let env' = { env with locals = Hashtbl.copy env.locals } in
-  List.map (check_stmt env') stmts
+  let enclosing = env.scope in
+  env.scope <- [];
+  let tstmts = List.map (check_stmt env) stmts in
+  List.iter (Hashtbl.remove env.locals) env.scope;
+  env.scope <- enclosing;
+  tstmts
 
 (** Does the statement list complete normally (JLS-style definite-return
     check, simplified)?  [while (true)] never completes. *)
@@ -486,7 +494,7 @@ let check_meth prog (cls : Program.cls) (m : Program.meth) (md : Ast.meth_decl) 
         (name, ty))
       md.Ast.md_params m.Program.m_param_tys
   in
-  let env = { prog; cls; meth = m; locals } in
+  let env = { prog; cls; meth = m; locals; scope = [] } in
   let body = List.map (check_stmt env) md.Ast.md_body in
   if (not (Ty.equal m.Program.m_ret_ty Ty.Void)) && completes body then
     errorf md.Ast.md_pos "method %s.%s does not return on all paths"

@@ -103,8 +103,10 @@ type block = {
   mutable b_preds : Block.t list;
   mutable b_spans : Span.t option list;
       (** source span per instruction, parallel to [b_insns] (maintained by
-          {!Ssa_builder.add_insn}; consumers must go through {!insn_spans},
-          which tolerates a desynchronized list by padding with [None]) *)
+          {!Ssa_builder.add_insn}).  Code that rewrites [b_insns] without
+          it (some tests do, to build invalid bodies on purpose) leaves it
+          desynchronized, so consumers read a missing entry as [None] and
+          ignore extras. *)
   mutable b_term_span : Span.t option;  (** span of the terminator *)
   mutable b_term_swapped : bool;
       (** for [If] terminators: condition normalization swapped the branch
@@ -133,44 +135,36 @@ type body = {
 let block body (id : Block.t) = body.blocks.(Block.to_int id)
 let var_ty body (v : Var.t) = body.var_tys.(Var.to_int v)
 
-(** [insn_spans blk] is a span list of exactly the same length as
-    [blk.b_insns].  Code that rewrites [b_insns] without maintaining
-    [b_spans] (some tests do, to build invalid bodies on purpose) only
-    loses span information, never correctness: missing entries read as
-    [None] and extras are dropped. *)
-let insn_spans blk =
-  let rec fit insns spans =
-    match (insns, spans) with
-    | [], _ -> []
-    | _ :: is, [] -> None :: fit is []
-    | _ :: is, s :: ss -> s :: fit is ss
+(** [postorder body] is the indices of the blocks of [body] reachable from
+    the entry, in depth-first postorder. *)
+let postorder body =
+  let n = Array.length body.blocks in
+  let seen = Array.make n false and order = Array.make n 0 in
+  (* successors in terminator order (jump target; then, else), then [i]
+     at position [k] of [order]; returns the next free position *)
+  let rec visit i k =
+    if seen.(i) then k
+    else begin
+      seen.(i) <- true;
+      let k =
+        match body.blocks.(i).b_term with
+        | Some (Jump t) -> visit (Block.to_int t) k
+        | Some (If { then_; else_; _ }) ->
+            let k = visit (Block.to_int then_) k in
+            visit (Block.to_int else_) k
+        | Some (Return _ | Throw _) | None -> k
+      in
+      order.(k) <- i;
+      k + 1
+    end
   in
-  fit blk.b_insns blk.b_spans
-
-let successors blk =
-  match blk.b_term with
-  | None -> []
-  | Some (Jump t) -> [ t ]
-  | Some (If { then_; else_; _ }) -> [ then_; else_ ]
-  | Some (Return _) | Some (Throw _) -> []
+  Array.sub order 0 (visit (Block.to_int body.entry) 0)
 
 (** [reverse_postorder body] lists the blocks of [body] reachable from the
     entry in reverse postorder — the traversal order used when creating a
     PVPG (Appendix B.4). *)
 let reverse_postorder body =
-  let n = Array.length body.blocks in
-  let visited = Array.make n false in
-  let order = ref [] in
-  let rec dfs id =
-    let i = Block.to_int id in
-    if not visited.(i) then begin
-      visited.(i) <- true;
-      List.iter dfs (successors body.blocks.(i));
-      order := body.blocks.(i) :: !order
-    end
-  in
-  dfs body.entry;
-  !order
+  Array.fold_left (fun rpo i -> body.blocks.(i) :: rpo) [] (postorder body)
 
 (** Instruction count of a body (phis and terminators included); the
     "binary size" proxy sums this over reachable methods. *)
@@ -180,45 +174,3 @@ let size body =
       acc + List.length b.b_phis + List.length b.b_insns
       + (match b.b_term with None -> 0 | Some _ -> 1))
     0 body.blocks
-
-(** Variables defined by an instruction. *)
-let insn_defs = function
-  | Assign (v, _) -> [ v ]
-  | Load { dst; _ } -> [ dst ]
-  | Store _ -> []
-  | LoadStatic { dst; _ } -> [ dst ]
-  | StoreStatic _ -> []
-  | ArrLoad { dst; _ } -> [ dst ]
-  | ArrStore _ -> []
-  | ArrLen { dst; _ } -> [ dst ]
-  | Cast { dst; _ } -> [ dst ]
-  | Invoke { dst; _ } -> [ dst ]
-
-(** Variables used by an instruction. *)
-let insn_uses = function
-  | Assign (_, e) -> (
-      match e with
-      | Const _ | Null | New _ | AnyInt -> []
-      | NewArr (_, n) -> [ n ]
-      | Arith (_, a, b) -> [ a; b ])
-  | Load { recv; _ } -> [ recv ]
-  | Store { recv; src; _ } -> [ recv; src ]
-  | LoadStatic _ -> []
-  | StoreStatic { src; _ } -> [ src ]
-  | ArrLoad { arr; idx; _ } -> [ arr; idx ]
-  | ArrStore { arr; idx; src; _ } -> [ arr; idx; src ]
-  | ArrLen { arr; _ } -> [ arr ]
-  | Cast { src; _ } -> [ src ]
-  | Invoke { recv; args; _ } -> (
-      match recv with None -> args | Some r -> r :: args)
-
-let cond_uses = function
-  | Cmp (_, a, b) -> [ a; b ]
-  | InstanceOf (v, _) -> [ v ]
-
-let term_uses = function
-  | Jump _ -> []
-  | If { cond; _ } -> cond_uses cond
-  | Return None -> []
-  | Return (Some v) -> [ v ]
-  | Throw v -> [ v ]

@@ -23,9 +23,11 @@ val merge_block : t -> Bl.block
 val add_insn : t -> Bl.block -> Bl.insn -> unit
 val write_var : t -> Bl.block -> string -> Var.t -> unit
 
-val set_span : t -> Span.t option -> unit
-(** Source span attached to subsequently emitted instructions and
-    terminators ([None] until set; generated bodies never set it). *)
+val set_pos : t -> line:int -> col:int -> unit
+(** Source position ([line] >= 1) whose span is attached to subsequently
+    emitted instructions and terminators (none until set; generated
+    bodies never set it).  Consecutive emissions at one position share
+    one span. *)
 
 val mark_branch : t -> Bl.block -> swapped:bool -> synthetic:bool -> unit
 (** Record condition-normalization facts about a block's [If] terminator:

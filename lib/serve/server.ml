@@ -162,22 +162,18 @@ let manifest_of_payload payload =
   | m -> Some m
   | exception (Exit | Json.Parse_error _) -> None
 
-(* [Ok None]: no snapshot yet; [Error]: the warning for a cold start *)
+(* [Ok None]: no snapshot yet; [Error]: why the manifest was rejected *)
 let read_manifest dir =
   match
     C.Snapshot.read ~path:(snap_path dir) ~kind:serve_snapshot_kind
       ~version:serve_snapshot_version
   with
   | Error (C.Snapshot.Io _) -> Ok None
-  | Error e ->
-      Error
-        ("serve snapshot rejected ("
-        ^ C.Snapshot.error_message e
-        ^ "); falling back to a cold start")
+  | Error e -> Error ("serve snapshot rejected (" ^ C.Snapshot.error_message e ^ ")")
   | Ok payload -> (
       match manifest_of_payload payload with
       | Some m -> Ok (Some m)
-      | None -> Error "serve snapshot payload undecodable; cold start")
+      | None -> Error "serve snapshot payload undecodable")
 
 let manifest_blobs m =
   Option.fold ~none:[] ~some:(fun (b, _) -> [ b ]) m.mf_resident
@@ -681,9 +677,10 @@ let create ?initial ~resume cfg =
   in
   (* A state dir is resumed whole — manifest, blobs and journal — or not
      at all: a start without [resume], or over a manifest written under
-     another configuration, empties it.  The journal goes first: a crash
-     mid-way may leave a manifest without its journal, never a journal
-     without the manifest that tells whose it is. *)
+     another configuration or no readable manifest at all (then nothing
+     says whose the journal is), empties it.  The journal goes first: a
+     crash mid-way may leave a manifest without its journal, never a
+     journal without the manifest that tells whose it is. *)
   let start_empty dir =
     List.iter
       (fun path -> if Sys.file_exists path then ignore (C.Io.unlink path))
@@ -697,7 +694,11 @@ let create ?initial ~resume cfg =
       if not resume then start_empty dir
       else
         match read_manifest dir with
-        | Ok (Some m) when not (String.equal m.mf_config_fp ours) ->
+        | Ok (Some m) when String.equal m.mf_config_fp ours ->
+            sweep t dir ~referenced:(manifest_blobs m);
+            restore t dir m;
+            t.replay <- read_journal (journal_path dir)
+        | Ok (Some m) ->
             cfg.sv_log
               (Printf.sprintf
                  "serve state was written under another configuration (%s; \
@@ -705,16 +706,15 @@ let create ?initial ~resume cfg =
                  m.mf_config_fp ours);
             start_empty dir
         | manifest ->
-            let m =
+            let why =
               match manifest with
-              | Ok m -> m (* [None]: no snapshot yet *)
-              | Error msg ->
-                  cfg.sv_log msg;
-                  None
+              | Error why -> why
+              | Ok _ -> "serve state has no readable manifest"
             in
-            sweep t dir ~referenced:(Option.fold ~none:[] ~some:manifest_blobs m);
-            Option.iter (restore t dir) m;
-            t.replay <- read_journal (journal_path dir))
+            if Sys.file_exists (snap_path dir) || Sys.file_exists (journal_path dir)
+            then
+              cfg.sv_log (why ^ "; state dir emptied, journal not replayed: cold start");
+            start_empty dir)
     cfg.sv_state_dir;
   let initial_result =
     if t.st <> None then Ok () (* the snapshot wins over [initial] *)

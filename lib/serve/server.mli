@@ -59,7 +59,10 @@ val create : ?initial:Api.source -> resume:bool -> cfg -> (t, string) result
     blobs the manifest does not reference and [*.tmp.*] leftovers of a
     crashed writer.  A start with [resume:false], or over a manifest
     written under another configuration (logged, with both
-    fingerprints), empties the dir: manifest, journal and every blob.
+    fingerprints), or without a readable manifest (logged when a damaged
+    manifest or a journal is dropped), empties the dir: manifest,
+    journal and every blob.  So a journal is replayed only under a
+    manifest written by this configuration.
     A resumed daemon prefers the snapshot over [initial]. *)
 
 val handle_line : t -> string -> string list

@@ -4,9 +4,12 @@
    severity, warning/note constructors, position-stable render_all) behave.
 
    The golden files under test/golden/ are byte-for-byte what
-   `skipflow lint <example> --format json --fail-on never` prints; the CI
-   workflow diffs the same outputs, so a change in lint behavior must
-   update both in one commit. *)
+   `skipflow lint <example> --format json --fail-on never` prints, and
+   the [*.analyze.json] ones what `skipflow analyze <program> --format
+   json --no-timings -a <analysis>` prints (their [binary_size] and
+   [flows] follow the shape of the lowered IR); the CI workflow diffs the
+   same outputs, so a change in lint or analysis behavior must update
+   both in one commit. *)
 
 module C = Skipflow_core
 module F = Skipflow_frontend
@@ -48,6 +51,47 @@ let check_golden ~example_file ~golden_file () =
         (read_file (golden golden_file))
         (K.Json.to_string json))
     [ ("LF", src); ("CRLF", crlf) ]
+
+(* ----- analyze goldens: the CLI's own output ----- *)
+
+let exe = Filename.concat (Sys.getcwd ()) "../bin/skipflow.exe"
+
+let cli_stdout ~dir args =
+  let out = Filename.concat dir "stdout" in
+  let cmd =
+    Printf.sprintf "%s %s > %s" (Filename.quote exe)
+      (String.concat " " (List.map Filename.quote args))
+      (Filename.quote out)
+  in
+  if Sys.command cmd <> 0 then Alcotest.failf "%s failed" cmd;
+  read_file out
+
+let with_temp_dir f =
+  let dir = Filename.temp_dir "skipflow-golden" "" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun n -> Sys.remove (Filename.concat dir n)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () -> f dir)
+
+(* [program dir] is the path of the program to analyze; the golden is
+   [<name>.<analysis>.analyze.json] for both analyses *)
+let check_analyze_golden ~name program () =
+  with_temp_dir (fun dir ->
+      let path = program dir in
+      List.iter
+        (fun analysis ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s under %s matches its analyze golden" name analysis)
+            (read_file (golden (Printf.sprintf "%s.%s.analyze.json" name analysis)))
+            (cli_stdout ~dir
+               [ "analyze"; path; "--format"; "json"; "--no-timings"; "-a"; analysis ]))
+        [ "skipflow"; "pta" ])
+
+let generated_luindex dir =
+  let path = Filename.concat dir "luindex.mj" in
+  ignore (cli_stdout ~dir [ "gen"; "--bench"; "luindex"; "-o"; path ]);
+  path
 
 let test_demo_covers_all_checks () =
   let findings = lint_file (example "lint_demo.mj") in
@@ -155,6 +199,12 @@ let suite =
         (check_golden ~example_file:"lint_demo.mj" ~golden_file:"lint_demo.json");
       Alcotest.test_case "golden: threads.mj" `Quick
         (check_golden ~example_file:"threads.mj" ~golden_file:"threads.json");
+      Alcotest.test_case "analyze golden: lint_demo.mj" `Quick
+        (check_analyze_golden ~name:"lint_demo" (fun _ -> example "lint_demo.mj"));
+      Alcotest.test_case "analyze golden: threads.mj" `Quick
+        (check_analyze_golden ~name:"threads" (fun _ -> example "threads.mj"));
+      Alcotest.test_case "analyze golden: gen --bench luindex" `Quick
+        (check_analyze_golden ~name:"luindex" generated_luindex);
       Alcotest.test_case "demo fires every check kind" `Quick test_demo_covers_all_checks;
       Alcotest.test_case "JSON round-trip" `Quick test_json_roundtrip;
       Alcotest.test_case "JSON parse errors" `Quick test_json_parse_errors;

@@ -1,6 +1,8 @@
 (* Lowering tests: the produced SSA must validate, satisfy the structural
    constraints of Appendix B.1, and encode the paper's condition
-   normalizations. *)
+   normalizations.  On a generated program the frontend's phases stay
+   within fixed allocation bounds, and the IR they produce is pinned by
+   the digest of its method fingerprints. *)
 
 open Skipflow_ir
 module F = Skipflow_frontend
@@ -188,6 +190,61 @@ let test_no_critical_edges_shape () =
       | _ -> ())
     body.Bl.blocks
 
+(* ----------------- allocation bounds and IR identity ------------------ *)
+
+let gen_source bench =
+  W.Gen.source (W.Suites.params_of ~scale:0.005 (Option.get (W.Suites.find bench)))
+
+(* Minor-heap words per IR unit (an instruction, a phi or a terminator:
+   one unit of [Bl.size]) that typechecking, lowering (validation
+   included) and validating every body allocate on luindex at 0.005. *)
+let words_per_unit =
+  lazy
+    (let ast, diags = F.Parser.parse_program_diags (gen_source "luindex") in
+     if diags <> [] then Alcotest.fail "generated program does not parse";
+     let w0 = Gc.minor_words () in
+     let tp = Result.get_ok (F.Typecheck.check_diags ast) in
+     let w1 = Gc.minor_words () in
+     let prog = F.Lower.lower_program tp in
+     let w2 = Gc.minor_words () in
+     let bodies = ref [] in
+     Program.iter_meths prog (fun m -> Option.iter (fun b -> bodies := b :: !bodies) m.Program.m_body);
+     let units = float (List.fold_left (fun n b -> n + Bl.size b) 0 !bodies) in
+     let w3 = Gc.minor_words () in
+     List.iter Validate.run !bodies;
+     let w4 = Gc.minor_words () in
+     ((w1 -. w0) /. units, (w2 -. w1) /. units, (w4 -. w3) /. units))
+
+let check_words phase bound words =
+  if words > bound then
+    Alcotest.failf "%s allocates %.1f words per IR unit (bound %.0f)" phase words bound
+
+let test_lowering_words () =
+  let _, lower, _ = Lazy.force words_per_unit in
+  check_words "lowering" 80. lower
+
+let test_validate_words () =
+  let _, _, validate = Lazy.force words_per_unit in
+  check_words "Validate" 12. validate
+
+let test_typecheck_words () =
+  let typecheck, _, _ = Lazy.force words_per_unit in
+  check_words "typecheck" 24. typecheck
+
+(* Every variable id, block id, phi, predecessor order and span of the
+   lowered IR, as the serve daemon's method fingerprints see them. *)
+let test_ir_identity () =
+  List.iter
+    (fun (bench, digest) ->
+      let prog = F.Frontend.compile (gen_source bench) in
+      let fingerprints = Skipflow_serve.Incremental.meth_fingerprints prog in
+      Alcotest.(check string) (bench ^ " IR digest") digest
+        (Digest.to_hex
+           (Digest.string
+              (String.concat "\n" (List.map (fun (n, h) -> n ^ " " ^ h) fingerprints)))))
+    [ ("luindex", "39f1a2b77eadad0e143afda09e3cbc48");
+      ("sunflow", "f8f88e414f64a66ac4e635b59db56f7d") ]
+
 let suite =
   ( "lower",
     [
@@ -203,4 +260,11 @@ let suite =
       Alcotest.test_case "arithmetic kept concrete" `Quick test_arith_kept_concrete;
       Alcotest.test_case "generated programs validate" `Quick test_generated_programs_validate;
       Alcotest.test_case "no critical edges" `Quick test_no_critical_edges_shape;
+      Alcotest.test_case "lowering allocates at most 80 words per IR unit" `Quick
+        test_lowering_words;
+      Alcotest.test_case "Validate allocates at most 12 words per IR unit" `Quick
+        test_validate_words;
+      Alcotest.test_case "typecheck allocates at most 24 words per IR unit" `Quick
+        test_typecheck_words;
+      Alcotest.test_case "IR of generated programs is pinned" `Quick test_ir_identity;
     ] )

@@ -812,6 +812,30 @@ let test_resume_other_config_starts_fresh () =
       Alcotest.(check bool) "and names this run's configuration" true
         (List.exists (contains ~sub:"predicates=false") !warned))
 
+(* Without a manifest nothing says whose a journal is: a --resume under
+   PTA over a SkipFlow dir whose manifest is gone (a kill between the
+   first journal append and the first snapshot leaves such a dir) drops
+   the journal, logs it, and answers as a fresh PTA session. *)
+let test_resume_without_manifest_drops_journal () =
+  let lines = [ edit_req 1 base_src; op_req 2 "analyze" ] in
+  let pta = { quiet_cfg with Sv.sv_config = C.Config.pta } in
+  let fresh_pta = run_all (create_exn ~resume:false pta) lines in
+  with_state_dir (fun dir ->
+      ignore (run_all (create_exn ~resume:false (state_cfg dir)) lines);
+      Sys.remove (snap_file dir);
+      let warned = ref [] in
+      let srv =
+        create_exn ~resume:true
+          { pta with
+            Sv.sv_state_dir = Some dir;
+            sv_log = (fun m -> warned := m :: !warned);
+          }
+      in
+      Alcotest.(check (list string)) "answers as a fresh PTA session" fresh_pta
+        (run_all srv lines);
+      Alcotest.(check bool) "the dropped journal is logged" true
+        (List.exists (contains ~sub:"journal not replayed") !warned))
+
 (* A start without --resume empties the state dir, so a later --resume
    replays this session's journal, not an older session's lines ahead
    of it. *)
@@ -910,6 +934,8 @@ let suite =
         test_stale_blob_cold_start;
       Alcotest.test_case "a resume under another configuration starts fresh"
         `Quick test_resume_other_config_starts_fresh;
+      Alcotest.test_case "a resume without a manifest drops the journal" `Quick
+        test_resume_without_manifest_drops_journal;
       Alcotest.test_case "a non-resumed start empties the state dir" `Quick
         test_fresh_start_empties_dir;
       Alcotest.test_case "a failed snapshot is retried by the next request"

@@ -54,6 +54,23 @@ let test_scoping () =
   rejects_with "declared twice" (wrap "void m() { int x = 1; int x = 2; }");
   rejects_with "unknown variable" (wrap "void m() { x = 1; }")
 
+(* A block's declarations end with it: sibling blocks may reuse a name,
+   a nested block may not redeclare an enclosing one, and a name is
+   unknown after its block while the enclosing block's names stay. *)
+let test_scopes_end_with_their_block () =
+  accepts
+    (wrap
+       "void m(boolean c) { if (c) { int x = 1; } else { int x = 2; } \
+        { int x = 3; } while (c) { int x = 4; } }");
+  accepts (wrap "int m(boolean c) { if (c) { int y = 1; { int z = y; } y = 2; } return 0; }");
+  rejects_with "variable x declared twice"
+    (wrap "void m(boolean c) { int x = 1; if (c) { int x = 2; } }");
+  rejects_with "variable y declared twice" (wrap "void m() { { int y = 1; { int y = 2; } } }");
+  rejects_with "variable a declared twice" (wrap "void m(int a) { { int a = 1; } }");
+  rejects_with "unknown variable x" (wrap "void m() { { int x = 1; } x = 2; }");
+  rejects_with "unknown variable z"
+    (wrap "void m(boolean c) { if (c) { { int z = 1; } z = 2; } }")
+
 let test_type_errors () =
   rejects_with "cannot assign" (wrap "void m() { int x = 0; x = null; }");
   rejects_with "boolean" (wrap "void m() { if (1) { } }");
@@ -185,6 +202,8 @@ let suite =
     [
       Alcotest.test_case "accepted programs" `Quick test_accepted;
       Alcotest.test_case "block scoping" `Quick test_scoping;
+      Alcotest.test_case "scopes end with their block" `Quick
+        test_scopes_end_with_their_block;
       Alcotest.test_case "type errors" `Quick test_type_errors;
       Alcotest.test_case "hierarchy errors" `Quick test_hierarchy_errors;
       Alcotest.test_case "call checking" `Quick test_call_checking;
