@@ -8,7 +8,7 @@
      dune exec bench/main.exe product         -- flat vs product primitive domain
      dune exec bench/main.exe micro           -- bechamel micro-benchmarks
      dune exec bench/main.exe json [opts]     -- machine-readable perf rows
-                                                 (--benches a,b  --min-dedup-ratio X
+                                                 (--benches a,b
                                                   --check-product-live-flows
                                                   -o FILE; default BENCH_<n>.json)
 
@@ -52,9 +52,7 @@ let median l =
   let a = List.sort compare l in
   List.nth a (List.length a / 2)
 
-(* [mode] reaches the reference drain, the baseline of the json rows *)
-let analyze ?mode ?trace config prog main =
-  C.Analysis.run ~config ?mode ?trace prog ~roots:[ main ]
+let analyze ?trace config prog main = C.Analysis.run ~config ?trace prog ~roots:[ main ]
 
 (* per-phase wall milliseconds out of a run's trace *)
 let phase_ms trace name =
@@ -79,12 +77,12 @@ type timing = {
    median over the same reps.  Solve sits inside time on every rep, so the
    medians keep that order.  The fixed point is deterministic, so the last
    rep's summary stands for all of them. *)
-let measure ?mode ~reps config prog main =
+let measure ~reps config prog main =
   let result = ref None and timings = ref [] in
   for _ = 1 to max 1 reps do
     let trace = C.Trace.create ~timers:true () in
     let t0 = Unix.gettimeofday () in
-    let s = analyze ?mode ~trace config prog main in
+    let s = analyze ~trace config prog main in
     timings :=
       {
         t_time_ms = (Unix.gettimeofday () -. t0) *. 1000.;
@@ -343,10 +341,9 @@ let print_micro () =
 
 (* Machine-readable perf rows, one per (bench, config), written to
    BENCH_<n>.json so the perf trajectory is tracked across PRs.  Each
-   bench runs under four configs: the two analyses of Table 1 with the
-   deduplicated engine ("PTA", "SkipFlow") and the same analyses on the
-   boxed-FIFO reference drain ("PTA-ref", "SkipFlow-ref"), so the file
-   carries its own task-deduplication baseline. *)
+   bench runs under three configs: the two analyses of Table 1 ("PTA",
+   "SkipFlow") and SkipFlow on the product primitive domain
+   ("SkipFlow-product"), which the product live-flows gate reads. *)
 
 type jrow = {
   j_suite : string;
@@ -361,13 +358,8 @@ type jrow = {
 }
 
 let json_configs =
-  [
-    ("PTA", C.Config.pta, C.Engine.Dedup);
-    ("SkipFlow", C.Config.skipflow, C.Engine.Dedup);
-    ("SkipFlow-product", product_config, C.Engine.Dedup);
-    ("PTA-ref", C.Config.pta, C.Engine.Reference);
-    ("SkipFlow-ref", C.Config.skipflow, C.Engine.Reference);
-  ]
+  [ ("PTA", C.Config.pta); ("SkipFlow", C.Config.skipflow);
+    ("SkipFlow-product", product_config) ]
 
 let json_bench (b : W.Suites.bench) : jrow list =
   let params = W.Suites.params_of ~scale b in
@@ -377,8 +369,8 @@ let json_bench (b : W.Suites.bench) : jrow list =
      the big programs: single measurements at scale 0.1 swing by 2x. *)
   let reps = if n < 2000 then 9 else if n < 60_000 then 5 else 3 in
   List.map
-    (fun (cname, config, mode) ->
-      let sum, t = measure ~mode ~reps config prog main in
+    (fun (cname, config) ->
+      let sum, t = measure ~reps config prog main in
       let s = C.Engine.stats sum.C.Analysis.engine in
       {
         j_suite = b.W.Suites.suite;
@@ -400,37 +392,11 @@ let next_bench_file () =
   in
   go 1
 
-(* The dedup win on a config: reference tasks / dedup tasks, summed over
-   the benches in the file (the CI smoke floor guards this number). *)
-let dedup_ratio rows config =
-  let sum c =
-    List.fold_left
-      (fun acc r -> if String.equal r.j_config c then acc + r.j_tasks else acc)
-      0 rows
-  in
-  let ded = sum config and refr = sum (config ^ "-ref") in
-  if ded = 0 then 0. else float_of_int refr /. float_of_int ded
-
-let speedup rows config =
-  let med c =
-    match
-      List.filter_map
-        (fun r ->
-          if String.equal r.j_config c then Some r.j_timing.t_time_ms else None)
-        rows
-    with
-    | [] -> 0.
-    | l -> median l
-  in
-  let ded = med config and refr = med (config ^ "-ref") in
-  if ded = 0. then 0. else refr /. ded
-
 let emit_json ~out rows =
   let b = Buffer.create 4096 in
   Buffer.add_string b "{\n";
-  (* v4: every column is a median over the same reps, and the v3 "jobs"
-     field is gone with the parallel solver *)
-  Buffer.add_string b "  \"schema_version\": 4,\n";
+  (* v5: no reference-drain rows and no summary of ratios to them *)
+  Buffer.add_string b "  \"schema_version\": 5,\n";
   Printf.bprintf b "  \"scale\": %g,\n" scale;
   Buffer.add_string b "  \"rows\": [\n";
   List.iteri
@@ -445,32 +411,19 @@ let emit_json ~out rows =
         r.j_timing.t_build_ms r.j_timing.t_solve_ms r.j_timing.t_metrics_ms
         r.j_tasks r.j_dedup_hits r.j_reachable r.j_live_flows)
     rows;
-  Buffer.add_string b "\n  ],\n";
-  Buffer.add_string b "  \"summary\": {\n";
-  Printf.bprintf b "    \"dedup_task_ratio_pta\": %.3f,\n" (dedup_ratio rows "PTA");
-  Printf.bprintf b "    \"dedup_task_ratio_skipflow\": %.3f,\n"
-    (dedup_ratio rows "SkipFlow");
-  Printf.bprintf b "    \"median_speedup_pta\": %.3f,\n" (speedup rows "PTA");
-  Printf.bprintf b "    \"median_speedup_skipflow\": %.3f\n"
-    (speedup rows "SkipFlow");
-  Buffer.add_string b "  }\n}\n";
+  Buffer.add_string b "\n  ]\n}\n";
   let oc = open_out out in
   Buffer.output_buffer oc b;
   close_out oc
 
 let run_json args =
   (* plain flag parsing, matching the harness style: [--benches a,b]
-     restricts the run, [--min-dedup-ratio X] makes the process fail when
-     the SkipFlow task-dedup ratio regresses below the floor (the CI smoke
-     job), [-o FILE] overrides the auto-numbered output *)
-  let benches = ref [] and floor_ = ref None and out = ref None in
+     restricts the run, [-o FILE] overrides the auto-numbered output *)
+  let benches = ref [] and out = ref None in
   let check_product = ref false in
   let rec parse = function
     | "--benches" :: v :: rest ->
         benches := String.split_on_char ',' v;
-        parse rest
-    | "--min-dedup-ratio" :: v :: rest ->
-        floor_ := Some (float_of_string v);
         parse rest
     | "--check-product-live-flows" :: rest ->
         check_product := true;
@@ -508,10 +461,7 @@ let run_json args =
   in
   let out = match !out with Some f -> f | None -> next_bench_file () in
   emit_json ~out rows;
-  let ratio = dedup_ratio rows "SkipFlow" in
-  Printf.printf
-    "wrote %s (%d rows; SkipFlow dedup task ratio %.2fx, median speedup %.2fx)\n" out
-    (List.length rows) ratio (speedup rows "SkipFlow");
+  Printf.printf "wrote %s (%d rows)\n" out (List.length rows);
   (* consistency gate: solve sits inside time on every rep, so a row whose
      solve column exceeds its time column took them from different reps *)
   List.iter
@@ -558,12 +508,7 @@ let run_json args =
       Printf.eprintf "json: product domain reduced live_flows on no benchmark\n";
       exit 1
     end
-  end;
-  match !floor_ with
-  | Some f when ratio < f ->
-      Printf.eprintf "json: dedup task ratio %.2f below floor %.2f\n" ratio f;
-      exit 1
-  | _ -> ()
+  end
 
 (* -------------------------------- driver ------------------------------ *)
 

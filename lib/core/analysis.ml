@@ -31,11 +31,11 @@ let finish ?random_order ?budget ~config ~trace ~t0 engine =
 (** [run ~config prog ~roots] analyzes [prog] starting from the given root
     methods.  Root-method parameters are seeded according to
     [config.seed_root_params] (Section 5's reflection/JNI policy). *)
-let run ?(config = Config.skipflow) ?random_order ?budget ?mode ?trace
+let run ?(config = Config.skipflow) ?random_order ?budget ?trace
     (prog : Program.t) ~(roots : Program.meth list) =
   let trace = match trace with Some tr -> tr | None -> Trace.create () in
   let t0 = Sys.time () in
-  let engine = Engine.create ?mode ~trace prog config in
+  let engine = Engine.create ~trace prog config in
   Trace.with_phase trace "roots" (fun () ->
       List.iter (fun m -> Engine.add_root engine m) roots);
   finish ?random_order ?budget ~config ~trace ~t0 engine

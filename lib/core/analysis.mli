@@ -23,7 +23,6 @@ val run :
   ?config:Config.t ->
   ?random_order:int ->
   ?budget:Budget.t ->
-  ?mode:Engine.mode ->
   ?trace:Trace.t ->
   Skipflow_ir.Program.t ->
   roots:Skipflow_ir.Program.meth list ->
@@ -31,9 +30,7 @@ val run :
 (** [run ~config prog ~roots] analyzes [prog] from the given root methods
     (default config: {!Config.skipflow}).  [random_order] processes the
     worklist in a seeded pseudo-random order instead of FIFO — the fixed
-    point must not change; used by determinism tests.  [mode] selects the
-    worklist engine ({!Engine.Dedup} by default; {!Engine.Reference} keeps
-    the original boxed FIFO for differential testing).  [trace] (default a
+    point must not change; used by determinism tests.  [trace] (default a
     fresh quiet {!Trace.t}) receives the run's counters; when created with
     timers the driver records ["roots"] / ["solve"] / ["metrics"] phases
     into it, and with events the engine streams solver activity.

@@ -13,13 +13,12 @@
       new observer.
 
     Scheduling goes through an {!emit} record supplied by the engine, so
-    this module does not allocate task values: the deduplicated engine
-    joins input values into the target's VS_in eagerly and enqueues only a
-    dirty flow id, while its retained reference drain boxes FIFO tasks the
-    way the original implementation did.  Because all transfer functions
-    are monotone joins over a finite-height lattice, the fixed point does
-    not depend on drain order (a property the test-suite checks by running
-    with randomized orders). *)
+    this module does not allocate task values: the engine joins input
+    values into the target's VS_in eagerly and enqueues only the dirty
+    flow.  Because all transfer functions are monotone joins over a
+    finite-height lattice, the fixed point does not depend on drain order
+    (a property the test-suite checks by running with randomized
+    orders). *)
 
 type emit = {
   input : Flow.t -> Vstate.t -> unit;

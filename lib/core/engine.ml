@@ -10,18 +10,16 @@
       flow's state changed (method resolution and linking for invokes,
       field linking for loads/stores, re-filtering for comparison filters).
 
-    In the default {!Dedup} mode the worklist is deduplicated: an input
-    emit performs the value join into [Flow.raw] {e eagerly} and enqueues
-    the flow id only if the join changed something and the flow is not
-    already pending (scheduling bits live on {!Flow.t}); an enable emit on
-    an already-enabled flow and a notify emit on an already-queued
-    observer collapse to no-ops.  The queue itself is {!Worklist}: a ring
-    buffer of the pending flows, not boxed task values.  The
-    {!Reference} mode retains the original boxed-FIFO drain (one task per
-    emit, joins at processing time) — the fixed points of the two modes
-    are bit-identical (all transfer functions are monotone over the
-    finite-height lattice [𝕃]), which the test-suite certifies flow by
-    flow.
+    The worklist is deduplicated: an input emit performs the value join
+    into [Flow.raw] {e eagerly} and enqueues the flow only if the join
+    changed something and the flow is not already pending (scheduling
+    bits live on {!Flow.t}); an enable emit on an already-enabled flow and
+    a notify emit on an already-queued observer collapse to no-ops.  The
+    queue itself is {!Worklist}: a ring buffer of the pending flows, not
+    boxed task values.  All transfer functions are monotone over the
+    finite-height lattice [𝕃], so the schedule does not change the fixed
+    point; the test-suite checks it, flow by flow and link set by link
+    set, against a naive round-robin solver of the same rules.
 
     Methods become reachable ([ℝ] in the paper) when their PVPG is built:
     either as analysis roots or when an invoke links them.  Virtual invokes
@@ -31,17 +29,6 @@
     caller). *)
 
 open Skipflow_ir
-
-(** How the worklist is driven: the production deduplicated dirty-bit
-    engine, or the retained reference drain (boxed FIFO of one task per
-    emit) kept for differential testing and perf baselines. *)
-type mode = Dedup | Reference
-
-(** Reference-mode tasks — the original engine's boxed queue entries. *)
-type rtask =
-  | REnable of Flow.t
-  | RInput of Flow.t * Vstate.t
-  | RNotify of Flow.t
 
 (** How {!run} ended: at the fixed point, or — in pause-on-budget mode —
     suspended at a task boundary by the given cap ({!snapshot_bytes} +
@@ -53,9 +40,7 @@ type outcome = Completed | Paused of Budget.trip
     live, always-updating values are the registry counters themselves
     (names under ["engine."], readable through {!trace_of}). *)
 type stats = {
-  tasks_processed : int;
-      (** worklist entries drained (deduplicated flow drains in {!Dedup}
-          mode, boxed tasks in {!Reference} mode) *)
+  tasks_processed : int;  (** worklist entries drained *)
   input_tasks : int;  (** input work items processed *)
   enable_tasks : int;  (** enable work items processed *)
   notify_tasks : int;  (** notify work items processed *)
@@ -127,11 +112,9 @@ type t = {
   prog : Program.t;
   config : Config.t;
   masks : Masks.t;
-  mode : mode;
   trace : Trace.t;  (** counter registry + optional timers / event buffer *)
   c : counters;
   wl : Worklist.t;  (** the deduplicated ring of dirty flows *)
-  rqueue : rtask Queue.t;  (** reference-mode boxed FIFO *)
   emit : Edges.emit;  (** this engine's scheduling hooks (knot-tied in {!thaw}) *)
   build : Build.ctx;  (** the construction context, shared by every {!Build.run} *)
   graphs : Graph.method_graph Ids.Meth.Tbl.t;
@@ -179,8 +162,6 @@ let always_on kind state =
 
 (* ---------------------------- scheduling ------------------------------ *)
 
-let track_queue t len = Trace.record_max t.c.c_max_queue len
-
 (** Set a dirty bit and enqueue the flow unless it is already pending.
     Returns [false] when the work merged into an existing entry. *)
 let schedule t (f : Flow.t) bit =
@@ -188,7 +169,7 @@ let schedule t (f : Flow.t) bit =
   f.Flow.work <- w lor bit lor Flow.wk_pending;
   if w land Flow.wk_pending = 0 then begin
     Worklist.push t.wl f;
-    track_queue t (Worklist.length t.wl);
+    Trace.record_max t.c.c_max_queue (Worklist.length t.wl);
     true
   end
   else false
@@ -262,7 +243,7 @@ let gen_value t (f : Flow.t) =
 
    Both are just different schedules of the same chaotic iteration: all
    transfer functions are monotone joins, so the fixed point is unchanged
-   (the differential tests against {!Reference} mode check this). *)
+   (the tests check it against a naive solver). *)
 
 (* Which primitive sublattice joins and comparison filters run on —
    threaded from the configuration into every join/filter site so flat
@@ -270,54 +251,39 @@ let gen_value t (f : Flow.t) =
 let pval_of t = t.config.Config.pval
 
 let rec emit_input t (f : Flow.t) v =
-  match t.mode with
-  | Reference ->
-      Queue.add (RInput (f, v)) t.rqueue;
-      track_queue t (Queue.length t.rqueue)
-  | Dedup ->
-      (* the join happens here, eagerly: a value already below VS_in needs
-         no task at all, and concurrent growth merges into one drain.  The
-         [leq] test first keeps the common already-subsumed case
-         allocation-free (no union is built); when it fails the join is a
-         strict growth, so no equality re-check is needed either. *)
-      if Vstate.leq v f.Flow.raw then Trace.incr t.c.c_dedup_input
-      else begin
-        f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
-        if not f.Flow.enabled then begin
-          Trace.incr t.c.c_input;
-          recompute t f
-        end
-        else if not (schedule t f Flow.wk_recompute) then
-          Trace.incr t.c.c_dedup_input
-      end
+  (* the join happens here, eagerly: a value already below VS_in needs no
+     task at all, and concurrent growth merges into one drain.  The [leq]
+     test first keeps the common already-subsumed case allocation-free (no
+     union is built); when it fails the join is a strict growth, so no
+     equality re-check is needed either. *)
+  if Vstate.leq v f.Flow.raw then Trace.incr t.c.c_dedup_input
+  else begin
+    f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
+    if not f.Flow.enabled then begin
+      Trace.incr t.c.c_input;
+      recompute t f
+    end
+    else if not (schedule t f Flow.wk_recompute) then
+      Trace.incr t.c.c_dedup_input
+  end
 
 and emit_enable t (f : Flow.t) =
-  match t.mode with
-  | Reference ->
-      Queue.add (REnable f) t.rqueue;
-      track_queue t (Queue.length t.rqueue)
-  | Dedup ->
-      if f.Flow.enabled || f.Flow.work land Flow.wk_enable <> 0 then
-        Trace.incr t.c.c_dedup_enable
-      else if t.sync_depth < sync_depth_limit then begin
-        Trace.incr t.c.c_enable;
-        t.sync_depth <- t.sync_depth + 1;
-        enable t f;
-        t.sync_depth <- t.sync_depth - 1
-      end
-      else if not (schedule t f Flow.wk_enable) then
-        Trace.incr t.c.c_dedup_enable
+  if f.Flow.enabled || f.Flow.work land Flow.wk_enable <> 0 then
+    Trace.incr t.c.c_dedup_enable
+  else if t.sync_depth < sync_depth_limit then begin
+    Trace.incr t.c.c_enable;
+    t.sync_depth <- t.sync_depth + 1;
+    enable t f;
+    t.sync_depth <- t.sync_depth - 1
+  end
+  else if not (schedule t f Flow.wk_enable) then
+    Trace.incr t.c.c_dedup_enable
 
 and emit_notify t (f : Flow.t) =
-  match t.mode with
-  | Reference ->
-      Queue.add (RNotify f) t.rqueue;
-      track_queue t (Queue.length t.rqueue)
-  | Dedup ->
-      if f.Flow.work land Flow.wk_notify <> 0 then
-        Trace.incr t.c.c_dedup_notify
-      else if not (schedule t f Flow.wk_notify) then
-        Trace.incr t.c.c_dedup_notify
+  if f.Flow.work land Flow.wk_notify <> 0 then
+    Trace.incr t.c.c_dedup_notify
+  else if not (schedule t f Flow.wk_notify) then
+    Trace.incr t.c.c_dedup_notify
 
 and saturate_check t (f : Flow.t) (s : Vstate.t) =
   match (t.config.Config.saturation, s) with
@@ -340,52 +306,26 @@ and on_state_change t (f : Flow.t) =
   List.iter (fun o -> emit_notify t o) f.Flow.observers
 
 and recompute t (f : Flow.t) =
-  match t.mode with
-  | Reference ->
-      (* The original implementation, retained verbatim so the reference
-         baseline keeps its pre-optimization cost profile: join first,
-         compare after (one transient value-state allocation per call). *)
-      let pval = pval_of t in
-      let s' =
-        Vstate.join_unshared ~pval f.Flow.state (Flow.apply_filter ~pval f f.Flow.raw)
-      in
-      if not (Vstate.equal s' f.Flow.state) then begin
-        f.Flow.state <- s';
-        if Trace.events_on t.trace then
-          Trace.event t.trace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
-        saturate_check t f s';
-        on_state_change t f
-      end
-  | Dedup ->
-      let s = Flow.apply_filter ~pval:(pval_of t) f f.Flow.raw in
-      (* Joining with the previous state keeps the per-flow state monotone
-         even while an observed operand is still growing; the [leq] test
-         makes the already-covered case allocation-free. *)
-      if not (Vstate.leq s f.Flow.state) then begin
-        let s = Vstate.join ~pval:(pval_of t) f.Flow.state s in
-        f.Flow.state <- s;
-        if Trace.events_on t.trace then
-          Trace.event t.trace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
-        saturate_check t f s;
-        on_state_change t f
-      end
+  let s = Flow.apply_filter ~pval:(pval_of t) f f.Flow.raw in
+  (* Joining with the previous state keeps the per-flow state monotone
+     even while an observed operand is still growing; the [leq] test makes
+     the already-covered case allocation-free. *)
+  if not (Vstate.leq s f.Flow.state) then begin
+    let s = Vstate.join ~pval:(pval_of t) f.Flow.state s in
+    f.Flow.state <- s;
+    if Trace.events_on t.trace then
+      Trace.event t.trace ~kind:"join" ~flow:f.Flow.id ~meth:(flow_meth_id f) ();
+    saturate_check t f s;
+    on_state_change t f
+  end
 
-(** Synchronous join-and-recompute, used by reference-mode input tasks and
-    by {!mark_instantiated} (which updates global flows directly). *)
+(** Synchronous join-and-recompute, used by {!mark_instantiated} (which
+    updates global flows directly). *)
 and input t (f : Flow.t) v =
-  match t.mode with
-  | Reference ->
-      (* original join-then-compare form (see {!recompute}) *)
-      let raw' = Vstate.join_unshared ~pval:(pval_of t) f.Flow.raw v in
-      if not (Vstate.equal raw' f.Flow.raw) then begin
-        f.Flow.raw <- raw';
-        recompute t f
-      end
-  | Dedup ->
-      if not (Vstate.leq v f.Flow.raw) then begin
-        f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
-        recompute t f
-      end
+  if not (Vstate.leq v f.Flow.raw) then begin
+    f.Flow.raw <- Vstate.join ~pval:(pval_of t) f.Flow.raw v;
+    recompute t f
+  end
 
 (** Degradation mode (budget exhaustion): precision is abandoned, never
     soundness.  Every flow is force-enabled (as in the no-predicates
@@ -486,18 +426,11 @@ and try_link t (f : Flow.t) =
               t.instantiated
           | Vstate.Empty | Vstate.Prim _ -> Typeset.empty
         in
-        let fresh =
-          match t.mode with
-          | Reference -> tyset (* pre-PR behavior: re-resolve everything *)
-          | Dedup ->
-              (* difference propagation: the receiver state only grows, and
-                 [Resolve] is deterministic, so types resolved on an
-                 earlier notify can be skipped without changing the fixed
-                 point *)
-              let d = Typeset.diff tyset inv.Flow.inv_seen in
-              inv.Flow.inv_seen <- Typeset.union inv.Flow.inv_seen tyset;
-              d
-        in
+        (* difference propagation: the receiver state only grows, and
+           [Resolve] is deterministic, so types resolved on an earlier
+           notify can be skipped without changing the fixed point *)
+        let fresh = Typeset.diff tyset inv.Flow.inv_seen in
+        inv.Flow.inv_seen <- Typeset.union inv.Flow.inv_seen tyset;
         if Trace.events_on t.trace && not (Typeset.is_empty fresh) then
           Trace.event t.trace ~kind:"resolve" ~flow:f.Flow.id
             ~meth:(flow_meth_id f) ~arg:(Typeset.cardinal fresh) ();
@@ -532,16 +465,10 @@ and try_field t (f : Flow.t) =
               t.instantiated
           | s -> Vstate.type_set s
         in
-        let tyset =
-          match t.mode with
-          | Reference -> tyset (* pre-PR behavior: re-look-up everything *)
-          | Dedup ->
-              (* delta processing, as in the Invoke rule: [LookUp] is
-                 deterministic, so seen receiver types can be skipped *)
-              let d = Typeset.diff tyset fa.Flow.fa_seen in
-              fa.Flow.fa_seen <- Typeset.union fa.Flow.fa_seen tyset;
-              d
-        in
+        (* delta processing, as in the Invoke rule: [LookUp] is
+           deterministic, so seen receiver types can be skipped *)
+        let fresh = Typeset.diff tyset fa.Flow.fa_seen in
+        fa.Flow.fa_seen <- Typeset.union fa.Flow.fa_seen tyset;
         Typeset.iter_classes
           (fun c ->
             if not (Program.is_null_class c) then
@@ -557,7 +484,7 @@ and try_field t (f : Flow.t) =
                     t.probe ()
                   end
               | None -> ())
-          tyset
+          fresh
     | _ -> ()
 
 and mark_instantiated t (c : Ids.Class.t) =
@@ -619,17 +546,15 @@ let degrade t =
 (* --------------------------- construction ----------------------------- *)
 
 (** The marshalable image of an engine: every piece of [t] except the
-    trace registry (counters travel as a name/value list), the
-    worklist/queue containers (pending work travels as the flows / boxed
-    tasks themselves, dirty bits intact), and the [emit] closures and
-    construction context (re-tied by {!thaw}).  Flow ids are
+    trace registry (counters travel as a name/value list), the worklist
+    (pending work travels as the flows themselves, dirty bits intact), and
+    the [emit] closures and construction context (re-tied by {!thaw}).  Flow ids are
     process-global, so the image also records the id counter;
     {!of_snapshot_bytes} bumps {!Flow.next_id} so ids minted after a
     resume never collide with snapshotted ones. *)
 type frozen = {
   fz_prog : Program.t;
   fz_config : Config.t;
-  fz_mode : mode;
   fz_graphs : Graph.method_graph Ids.Meth.Tbl.t;
   fz_reachable_order : Program.meth list;
   fz_roots : Ids.Meth.Set.t;
@@ -640,7 +565,6 @@ type frozen = {
   fz_instantiated : Typeset.t;
   fz_pred_on : Flow.t;
   fz_pending : Flow.t array;  (** worklist contents, queue order *)
-  fz_rpending : rtask list;  (** reference-mode queue contents *)
   fz_counters : (string * int) list;
   fz_next_flow_id : int;
   fz_degraded : bool;
@@ -660,11 +584,9 @@ let thaw ?trace wl fz =
       prog = fz.fz_prog;
       config = fz.fz_config;
       masks;
-      mode = fz.fz_mode;
       trace;
       c;
       wl;
-      rqueue = Queue.create ();
       emit;
       build;
       graphs = fz.fz_graphs;
@@ -710,16 +632,14 @@ let thaw ?trace wl fz =
     fz.fz_counters;
   (* pending flows still carry their dirty bits; re-ring them in order *)
   Array.iter (fun f -> Worklist.push t.wl f) fz.fz_pending;
-  List.iter (fun task -> Queue.add task t.rqueue) fz.fz_rpending;
   t
 
-let create ?(mode = Dedup) ?trace prog config =
+let create ?trace prog config =
   let wl = Worklist.create () in
   thaw ?trace wl
     {
       fz_prog = prog;
       fz_config = config;
-      fz_mode = mode;
       fz_graphs = Ids.Meth.Tbl.create 256;
       fz_reachable_order = [];
       fz_roots = Ids.Meth.Set.empty;
@@ -730,7 +650,6 @@ let create ?(mode = Dedup) ?trace prog config =
       fz_instantiated = Typeset.empty;
       fz_pred_on = always_on Flow.Pred_on (Vstate.const 1);
       fz_pending = [||];
-      fz_rpending = [];
       fz_counters = [];
       fz_next_flow_id = 0;
       fz_degraded = false;
@@ -743,7 +662,6 @@ let capture t =
   {
     fz_prog = t.prog;
     fz_config = t.config;
-    fz_mode = t.mode;
     fz_graphs = t.graphs;
     fz_reachable_order = t.reachable_order;
     fz_roots = t.roots;
@@ -754,7 +672,6 @@ let capture t =
     fz_instantiated = t.instantiated;
     fz_pred_on = t.pred_on;
     fz_pending = Worklist.pending t.wl;
-    fz_rpending = List.of_seq (Queue.to_seq t.rqueue);
     fz_counters = Trace.counters t.trace;
     fz_next_flow_id = !Flow.next_id;
     fz_degraded = t.degraded;
@@ -769,10 +686,9 @@ let snapshot_bytes t = Marshal.to_string (capture t) []
 
 let snapshot_kind = "engine-state"
 
-(* v7: the configuration holds no budget (a budget is {!run}'s), so
-   equal fixed points encode to equal bytes; v6 images carry one and are
-   refused as a version mismatch *)
-let snapshot_version = 7
+(* v8: one drain, so the image holds no engine mode and no second queue;
+   v7 images carry both and are refused as a version mismatch *)
+let snapshot_version = 8
 
 (* Point a decoded image at [prog], another compile of the same program:
    the program itself, every graph's method and body, and the discovery
@@ -869,25 +785,11 @@ let process_flow t (f : Flow.t) =
     notify t f
   end
 
-let process_rtask t task =
-  Trace.incr t.c.c_tasks;
-  match task with
-  | REnable f ->
-      Trace.incr t.c.c_enable;
-      enable t f
-  | RInput (f, v) ->
-      Trace.incr t.c.c_input;
-      input t f v
-  | RNotify f ->
-      Trace.incr t.c.c_notify;
-      notify t f
-
 (** [run ?random_order ?budget t] drains the worklist to the fixed
     point.
 
     By default pending work is processed FIFO.  With [random_order:seed]
-    (in {!Dedup} mode only) pending flows are picked pseudo-randomly
-    instead — the fixed point must not change (all transfer functions are
+    pending flows are picked pseudo-randomly instead — the fixed point must not change (all transfer functions are
     monotone joins over a finite lattice), which the property-test suite
     verifies by comparing runs.
 
@@ -912,8 +814,6 @@ let process_rtask t task =
     stop and the remaining drain runs to its boundary so the final state
     is consistent. *)
 let run ?random_order ?(budget = Budget.unlimited) t =
-  if Option.is_some random_order && t.mode = Reference then
-    invalid_arg "Engine.run: random_order needs the Dedup mode";
   let start = Unix.gettimeofday () in
   (* clamped against backwards clock steps: a negative elapsed time
      would make the wall budget unreachable *)
@@ -954,24 +854,15 @@ let run ?random_order ?(budget = Budget.unlimited) t =
         | None -> ()
   in
   t.probe <- (fun () -> check (Trace.value t.c.c_links - !task_links));
-  let step process x =
+  let step f =
     task_links := Trace.value t.c.c_links;
-    process t x;
+    process_flow t f;
     check 0
   in
   let drain_fifo () =
-    match t.mode with
-    | Dedup ->
-        while Option.is_none !paused && not (Worklist.is_empty t.wl) do
-          step process_flow (Worklist.pop_exn t.wl)
-        done
-    | Reference ->
-        let continue_ = ref true in
-        while !continue_ && Option.is_none !paused do
-          match Queue.take_opt t.rqueue with
-          | None -> continue_ := false
-          | Some task -> step process_rtask task
-        done
+    while Option.is_none !paused && not (Worklist.is_empty t.wl) do
+      step (Worklist.pop_exn t.wl)
+    done
   in
   let drain_random seed =
     (* array-backed bag of pending flows with swap-remove; deterministic
@@ -989,7 +880,7 @@ let run ?random_order ?(budget = Budget.unlimited) t =
       let f = !bag.(i) in
       !bag.(i) <- !bag.(!len - 1);
       decr len;
-      step process_flow f;
+      step f;
       if Option.is_some !paused then begin
         (* hand the still-bagged flows back to the queue so a snapshot
            sees them as pending work *)
@@ -1072,6 +963,11 @@ let instantiated_types t = Typeset.classes t.instantiated
 let instantiated t = t.instantiated
 
 let is_degraded t = t.degraded
+
+let global_flows t =
+  let add _ f acc = f :: acc in
+  t.pred_on :: t.all_inst_any
+  :: Ids.Field.Tbl.fold add t.field_flows (Ids.Class.Tbl.fold add t.all_inst [])
 
 let trace_of t = t.trace
 

@@ -10,17 +10,11 @@
 
     All transfer functions are monotone over the finite-height lattice, so
     the fixed point is unique regardless of work order — which is why the
-    default {!Dedup} mode may collapse redundant work items (joins that
-    change nothing, enables of already-enabled flows, notifies of
-    already-queued observers) without changing any result. *)
-
-(** How the worklist is driven.  {!Dedup} (the default) joins input
-    values into VS_in eagerly at emit time and queues at most one entry
-    per flow, with dirty-kind bits stored on the flow itself.
-    {!Reference} retains the original boxed FIFO (one task per emit,
-    joins at processing time) for differential testing and as a perf
-    baseline.  Both modes reach bit-identical fixed points. *)
-type mode = Dedup | Reference
+    worklist may collapse redundant work items (joins that change nothing,
+    enables of already-enabled flows, notifies of already-queued
+    observers) without changing any result.  Input values are joined into
+    VS_in eagerly at emit time, and at most one entry per flow is queued,
+    with dirty-kind bits stored on the flow itself. *)
 
 (** How {!run} ended.  [Paused trip] is returned only in pause-on-budget
     mode: the engine stopped at a task boundary because the [trip] cap
@@ -34,9 +28,7 @@ type outcome = Completed | Paused of Budget.trip
     engine's live accounting is a set of registered {!Trace.counter}s in
     the trace passed to {!create}, under the ["engine."] name prefix. *)
 type stats = {
-  tasks_processed : int;
-      (** worklist entries drained (deduplicated flow drains in {!Dedup}
-          mode, boxed tasks in {!Reference} mode) *)
+  tasks_processed : int;  (** worklist entries drained *)
   input_tasks : int;  (** input work items processed *)
   enable_tasks : int;  (** enable work items processed *)
   notify_tasks : int;  (** notify work items processed *)
@@ -62,16 +54,15 @@ type stats = {
 
 val dedup_hits : stats -> int
 (** Total emits collapsed into already-pending work
-    ([dedup_input + dedup_enable + dedup_notify]); always 0 in
-    {!Reference} mode. *)
+    ([dedup_input + dedup_enable + dedup_notify]). *)
 
 type t
 
-val create : ?mode:mode -> ?trace:Trace.t -> Skipflow_ir.Program.t -> Config.t -> t
-(** [mode] defaults to {!Dedup}.  [trace] (default a fresh quiet
-    {!Trace.t}) receives the engine's counters and — when its events are
-    enabled — the solver event stream (joins, enables, links, invoke
-    resolutions, saturation trips, budget degradations). *)
+val create : ?trace:Trace.t -> Skipflow_ir.Program.t -> Config.t -> t
+(** [trace] (default a fresh quiet {!Trace.t}) receives the engine's
+    counters and — when its events are enabled — the solver event stream
+    (joins, enables, links, invoke resolutions, saturation trips, budget
+    degradations). *)
 
 val add_root : t -> Skipflow_ir.Program.meth -> unit
 (** Make a method an analysis root (building its PVPG).  Under the
@@ -82,9 +73,7 @@ val add_root : t -> Skipflow_ir.Program.meth -> unit
 val run : ?random_order:int -> ?budget:Budget.t -> t -> outcome
 (** Drain the worklist to the fixed point.  With [random_order:seed],
     pending work is picked pseudo-randomly instead of FIFO; the fixed
-    point must not change (checked by the property tests).  The
-    {!Reference} drain is FIFO only: [random_order] on a {!Reference}
-    engine raises [Invalid_argument].
+    point must not change (checked by the property tests).
 
     The run honors [budget] (default {!Budget.unlimited}), an argument
     of this run only: neither the engine nor its snapshot keeps it.
@@ -206,3 +195,7 @@ val trace_of : t -> Trace.t
 val field_flow : t -> Skipflow_ir.Ids.Field.t -> Flow.t
 (** The global per-declared-field flow ([LookUp]'s codomain), created on
     first use with the field's Java default value. *)
+
+val global_flows : t -> Flow.t list
+(** The flows no method owns: [pred_on], the per-field flows created so
+    far, and the all-instantiated flows. *)

@@ -13,8 +13,9 @@
     value flows.  Non-singleton results snap their bounds *outward* to
     a finite threshold ladder (the integers in [-64, 64] plus the
     powers of two), which keeps every ascending chain through the
-    solver finite without an order-dependent widening delay — the
-    dedup and reference engines stay flow-by-flow equal.  The classic
+    solver finite without an order-dependent widening delay — any
+    drain order, and the naive solver the tests check the engine
+    against, reach the same states flow by flow.  The classic
     {!widen} is still exported (and law-tested) for callers that
     iterate joins themselves. *)
 

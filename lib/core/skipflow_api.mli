@@ -107,10 +107,9 @@ val analyze :
   unit ->
   (summary, error) result
 (** The full pipeline: {!compile}, {!resolve_roots}, solve, metrics.
-    Defaults: [config] {!Config.skipflow}, a fresh quiet trace; the
-    solve always runs the deduplicated engine.  [budget] (default
-    {!Budget.unlimited}) caps the solve; a [`Pause] trip leaves the
-    summary with [outcome = Paused trip].
+    Defaults: [config] {!Config.skipflow}, a fresh quiet trace.
+    [budget] (default {!Budget.unlimited}) caps the solve; a [`Pause]
+    trip leaves the summary with [outcome = Paused trip].
     (The trailing [unit] makes the optional arguments erasable — all
     other parameters are labeled.) *)
 

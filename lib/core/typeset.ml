@@ -86,21 +86,6 @@ let union (a : t) (b : t) =
     r
   end
 
-(* The historical union, kept for the reference engine: it materializes a
-   fresh vector whenever both operands are non-empty, so measurements
-   against [Engine.Reference] reproduce the allocation behavior the solver
-   had before the sharing fast paths above were added. *)
-let union_unshared (a : t) (b : t) =
-  if is_empty a then b
-  else if is_empty b then a
-  else begin
-    let la = Array.length a and lb = Array.length b in
-    let big, small = if la >= lb then (a, b) else (b, a) in
-    let r = Array.copy big in
-    Array.iteri (fun i w -> r.(i) <- r.(i) lor w) small;
-    r
-  end
-
 let inter (a : t) (b : t) =
   if subset a b then a
   else if subset b a then b

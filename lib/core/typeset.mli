@@ -15,12 +15,6 @@ val add : int -> t -> t
 val remove : int -> t -> t
 val union : t -> t -> t
 
-val union_unshared : t -> t -> t
-(** Like {!union} but always materializes a fresh vector when both
-    operands are non-empty — the pre-sharing implementation, used by the
-    reference engine so its cost profile stays faithful to the historical
-    baseline. *)
-
 val inter : t -> t -> t
 
 val diff : t -> t -> t

@@ -20,6 +20,11 @@
       of every receiver type, and values flow the right way across the
       per-field flow.
 
+    The edge rules cover the edges out of the global flows ([pred_on],
+    the per-field and the all-instantiated flows) too.  This checks that
+    a result is a fixed point, not that it is the least one; the tests
+    compare the engine with a naive solver for that.
+
     [run] returns the list of violations (empty = certified).  The
     property-test suite certifies the fixed points of randomly generated
     programs under every configuration. *)
@@ -28,7 +33,7 @@ open Skipflow_ir
 
 type violation = string
 
-let check_flow_invariants ~pval prog (violations : violation list ref)
+let check_flow_invariants ~pval ~instantiated prog (violations : violation list ref)
     (f : Flow.t) =
   let bad fmt = Format.kasprintf (fun s -> violations := s :: !violations) fmt in
   let name () = Format.asprintf "%a" Flow.pp f in
@@ -41,7 +46,9 @@ let check_flow_invariants ~pval prog (violations : violation list ref)
       if not (Vstate.leq v f.Flow.raw) then bad "%s: source value not in VS_in" (name ())
   | Flow.Alloc c when f.Flow.enabled ->
       if not (Vstate.leq (Vstate.of_class c) f.Flow.raw) then
-        bad "%s: allocated class not in VS_in" (name ())
+        bad "%s: allocated class not in VS_in" (name ());
+      if not (Typeset.class_mem c instantiated) then
+        bad "%s: allocated class not instantiated" (name ())
   | Flow.Return when f.Flow.enabled -> (
       match f.Flow.meth with
       | Some m when Ty.equal (Program.meth prog m).Program.m_ret_ty Ty.Void ->
@@ -157,12 +164,14 @@ let check_field_access engine prog violations (f : Flow.t) =
   | _ -> ()
 
 (** [run engine] re-checks the Figure 15 rules over the engine's fixed
-    point; returns all violations found (empty list = certified). *)
+    point, at every method's flows and at the global ones; returns all
+    violations found (empty list = certified). *)
 let run (engine : Engine.t) : violation list =
   let prog = Engine.prog_of engine in
   let violations = ref [] in
   let degraded = Engine.is_degraded engine in
   let pval = (Engine.config_of engine).Config.pval in
+  let instantiated = Engine.instantiated engine in
   List.iter
     (fun (g : Graph.method_graph) ->
       Array.iter
@@ -176,9 +185,13 @@ let run (engine : Engine.t) : violation list =
             violations :=
               Format.asprintf "%a: flow disabled in a degraded run" Flow.pp f
               :: !violations;
-          check_flow_invariants ~pval prog violations f;
+          check_flow_invariants ~pval ~instantiated prog violations f;
           check_invoke engine prog violations f;
           check_field_access engine prog violations f)
         g.Graph.g_flows)
     (Engine.graphs engine);
+  (* [pred_on]'s predicate edges and the field flows' use edges *)
+  List.iter
+    (check_flow_invariants ~pval ~instantiated prog violations)
+    (Engine.global_flows engine);
   List.rev !violations

@@ -76,18 +76,6 @@ let join ~pval a b =
          program; the lattice join is the common top. *)
       Any
 
-(* Pre-sharing join, for the reference engine: the [Types] case always
-   re-boxes (and [union_unshared] always copies), reproducing the
-   per-task transient allocation the solver paid before the physical
-   sharing fast paths existed. *)
-let join_unshared ~pval a b =
-  match (a, b) with
-  | Empty, x | x, Empty -> x
-  | Any, _ | _, Any -> Any
-  | Prim x, Prim y -> join_prim ~pval a b x y
-  | Types x, Types y -> Types (Typeset.union_unshared x y)
-  | Prim _, Types _ | Types _, Prim _ -> Any
-
 let leq a b =
   match (a, b) with
   | Empty, _ -> true

@@ -47,11 +47,6 @@ val join : pval:Pval.mode -> t -> t -> t
     joins intervals ({!Prim.join}).  On singleton payloads the two
     agree, so flat reproduces the pre-product behaviour exactly. *)
 
-val join_unshared : pval:Pval.mode -> t -> t -> t
-(** Like {!join} but without the physical-sharing fast paths: the
-    type-set case always materializes a fresh set.  Used by the
-    reference engine to keep the baseline's historical cost profile. *)
-
 val leq : t -> t -> bool
 
 val type_set : t -> Typeset.t

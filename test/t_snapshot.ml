@@ -176,45 +176,37 @@ let resume_exn ~ctx ?budget bytes =
   | Error msg -> Alcotest.failf "%s: resume failed: %s" ctx msg
 
 (* Pause under a tiny task budget, resume unlimited, and demand the
-   resumed fixed point equals the uninterrupted run's — over the corpus,
-   both configs, both engine modes.  Programs small enough to finish
-   under the pause budget just complete; the final assertion guarantees
-   the matrix actually exercised the pause path. *)
+   resumed fixed point equals the uninterrupted run's — over the corpus
+   and three configs.  Programs small enough to finish under the pause
+   budget just complete; the final assertion guarantees the matrix
+   actually exercised the pause path. *)
 let test_pause_resume_identical_fixed_point () =
   let paused_cases = ref 0 in
   List.iteri
     (fun i (prog, main) ->
       List.iter
         (fun (cname, config) ->
-          List.iter
-            (fun (mname, mode) ->
-              let ctx = Printf.sprintf "seed %d, %s, %s" i cname mname in
-              let straight =
-                C.Analysis.run ~config ~mode prog ~roots:[ main ]
-              in
-              let paused =
-                C.Analysis.run ~config ~mode ~budget:pause_budget prog
-                  ~roots:[ main ]
-              in
-              let finished =
-                match paused.C.Analysis.outcome with
-                | C.Engine.Completed -> paused
-                | C.Engine.Paused _ ->
-                    incr paused_cases;
-                    Alcotest.(check bool)
-                      (ctx ^ ": paused run is not degraded")
-                      false
-                      (C.Engine.is_degraded paused.C.Analysis.engine);
-                    resume_exn ~ctx
-                      (C.Engine.snapshot_bytes paused.C.Analysis.engine)
-              in
-              (match finished.C.Analysis.outcome with
-              | C.Engine.Completed -> ()
-              | C.Engine.Paused _ ->
-                  Alcotest.failf "%s: unlimited resume paused again" ctx);
-              check_same_fixed_point ~ctx straight.C.Analysis.engine
-                finished.C.Analysis.engine)
-            [ ("dedup", C.Engine.Dedup); ("ref", C.Engine.Reference) ])
+          let ctx = Printf.sprintf "seed %d, %s" i cname in
+          let straight = C.Analysis.run ~config prog ~roots:[ main ] in
+          let paused =
+            C.Analysis.run ~config ~budget:pause_budget prog ~roots:[ main ]
+          in
+          let finished =
+            match paused.C.Analysis.outcome with
+            | C.Engine.Completed -> paused
+            | C.Engine.Paused _ ->
+                incr paused_cases;
+                Alcotest.(check bool)
+                  (ctx ^ ": paused run is not degraded")
+                  false
+                  (C.Engine.is_degraded paused.C.Analysis.engine);
+                resume_exn ~ctx (C.Engine.snapshot_bytes paused.C.Analysis.engine)
+          in
+          (match finished.C.Analysis.outcome with
+          | C.Engine.Completed -> ()
+          | C.Engine.Paused _ -> Alcotest.failf "%s: unlimited resume paused again" ctx);
+          check_same_fixed_point ~ctx straight.C.Analysis.engine
+            finished.C.Analysis.engine)
         [
           ("skipflow", C.Config.skipflow);
           ( "skipflow-product",
@@ -402,6 +394,18 @@ let test_bad_payload_reported () =
             (C.Snapshot.error_message e)
       | Ok _ -> Alcotest.fail "garbage payload decoded")
 
+(* The image layout is pinned beside its version.  Decoding an image of
+   another layout is undefined behavior (a resume segfaults), so a
+   change to the engine's image record must bump [snapshot_version],
+   which turns an old image into a clean [Bad_version] fallback, and
+   then update both numbers here. *)
+let test_image_layout_pinned () =
+  let prog, main = List.hd corpus in
+  let e = (C.Analysis.run prog ~roots:[ main ]).C.Analysis.engine in
+  let top : Obj.t = Marshal.from_string (C.Engine.snapshot_bytes e) 0 in
+  Alcotest.(check (pair int int)) "snapshot version and image record fields" (8, 16)
+    (C.Engine.snapshot_version, Obj.size top)
+
 let suite =
   ( "snapshot",
     [
@@ -410,8 +414,8 @@ let suite =
         test_crc32_known_answers;
       Alcotest.test_case "container rejects every corruption class" `Quick
         test_container_rejects_corruption;
-      Alcotest.test_case "pause+resume = straight run (corpus x config x mode)"
-        `Quick test_pause_resume_identical_fixed_point;
+      Alcotest.test_case "pause+resume = straight run (corpus x config)" `Quick
+        test_pause_resume_identical_fixed_point;
       Alcotest.test_case "double resume converges to the same point" `Quick
         test_double_resume_deterministic;
       Alcotest.test_case "a thawed image runs under no stored budget" `Quick
@@ -424,4 +428,6 @@ let suite =
         test_defs_survive_thaw;
       Alcotest.test_case "undecodable payload is a reported error" `Quick
         test_bad_payload_reported;
+      Alcotest.test_case "image layout is pinned by version" `Quick
+        test_image_layout_pinned;
     ] )

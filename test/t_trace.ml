@@ -1,9 +1,8 @@
 (* The observability layer and the library facade:
 
-   - counters are monotone (negative deltas rejected) and agree across
-     the dedup and reference engines wherever the semantics demand it
-     (links, use edges, live flows are fixed-point facts; the dedup_*
-     counters are identically zero in reference mode);
+   - counters are monotone (negative deltas rejected), a solve records
+     the emits its worklist collapsed, and the engine's stats snapshot
+     reads its counters;
    - phase spans nest, accumulate on re-entry, and children sum to no
      more than the enclosing span's wall time; a solve's phase records
      the words it promoted, no more than it allocated;
@@ -21,9 +20,9 @@ module W = Skipflow_workloads
 let workload () =
   W.Gen.compile { W.Gen.default_params with live_units = 10; dead_units = 2 }
 
-let run_with_trace ?mode prog main =
+let run_with_trace prog main =
   let trace = C.Trace.create ~timers:true ~events:true () in
-  C.Analysis.run ?mode ~trace prog ~roots:[ main ]
+  C.Analysis.run ~trace prog ~roots:[ main ]
 
 let counter_value trace name =
   C.Trace.value (C.Trace.counter trace name)
@@ -45,34 +44,24 @@ let test_counter_monotone () =
   Alcotest.(check bool) "find-or-create returns the same box" true
     (C.Trace.counter tr "x" == c)
 
-let test_counters_across_engines () =
+let test_stats_mirror_counters () =
   let prog, main = workload () in
-  let d = run_with_trace ~mode:C.Engine.Dedup prog main in
-  let r = run_with_trace ~mode:C.Engine.Reference prog main in
-  let same name =
-    Alcotest.(check int)
-      (name ^ " equal across dedup/ref")
-      (counter_value r.C.Analysis.trace name)
-      (counter_value d.C.Analysis.trace name)
-  in
-  (* fixed-point facts: identical by the dedup==ref equivalence *)
-  List.iter same
-    [ "engine.links"; "engine.use_edges"; "engine.live_flows"; "build.methods";
-      "build.flows"; "build.edges"; "engine.budget_trips" ];
-  (* dedup accounting exists only in dedup mode *)
-  List.iter
-    (fun name ->
-      Alcotest.(check int) (name ^ " is 0 in ref mode") 0
-        (counter_value r.C.Analysis.trace name))
-    [ "engine.dedup_input"; "engine.dedup_enable"; "engine.dedup_notify" ];
-  Alcotest.(check bool) "dedup drains fewer tasks" true
-    (counter_value d.C.Analysis.trace "engine.tasks_processed"
-    < counter_value r.C.Analysis.trace "engine.tasks_processed");
-  (* the stats snapshot is the counters *)
+  let d = run_with_trace prog main in
   let s = C.Engine.stats d.C.Analysis.engine in
-  Alcotest.(check int) "stats snapshot mirrors counters"
-    (counter_value d.C.Analysis.trace "engine.tasks_processed")
-    s.C.Engine.tasks_processed
+  Alcotest.(check bool) "collapsed emits recorded" true (C.Engine.dedup_hits s > 0);
+  List.iter
+    (fun (name, v) ->
+      Alcotest.(check int) ("stats mirror " ^ name) (counter_value d.C.Analysis.trace name) v)
+    [ ("engine.tasks_processed", s.C.Engine.tasks_processed);
+      ("engine.input_tasks", s.C.Engine.input_tasks);
+      ("engine.enable_tasks", s.C.Engine.enable_tasks);
+      ("engine.notify_tasks", s.C.Engine.notify_tasks);
+      ("engine.dedup_input", s.C.Engine.dedup_input);
+      ("engine.dedup_enable", s.C.Engine.dedup_enable);
+      ("engine.dedup_notify", s.C.Engine.dedup_notify);
+      ("engine.use_edges", s.C.Engine.use_edges);
+      ("engine.links", s.C.Engine.links);
+      ("engine.live_flows", s.C.Engine.live_flows) ]
 
 (* ----- phases ----- *)
 
@@ -104,7 +93,7 @@ let test_phases_timed_off () =
 
 let test_analysis_phases () =
   let prog, main = workload () in
-  let s = run_with_trace ~mode:C.Engine.Dedup prog main in
+  let s = run_with_trace prog main in
   let names = List.map (fun p -> p.C.Trace.ph_name) (C.Trace.phases s.C.Analysis.trace) in
   List.iter
     (fun n ->
@@ -119,7 +108,7 @@ let test_phase_gc_words () =
   let prog, main =
     W.Gen.compile { W.Gen.default_params with live_units = 30; dead_units = 2 }
   in
-  let s = run_with_trace ~mode:C.Engine.Dedup prog main in
+  let s = run_with_trace prog main in
   match
     List.find_opt
       (fun p -> String.equal p.C.Trace.ph_name "solve")
@@ -147,7 +136,7 @@ let test_event_cap () =
 
 let test_chrome_valid () =
   let prog, main = workload () in
-  let s = run_with_trace ~mode:C.Engine.Dedup prog main in
+  let s = run_with_trace prog main in
   let trace = s.C.Analysis.trace in
   let doc = K.Json.of_string (C.Trace.chrome_string trace) in
   (match K.Json.check_schema_version doc with
@@ -226,8 +215,8 @@ let suite =
   ( "trace",
     [
       Alcotest.test_case "counters monotone" `Quick test_counter_monotone;
-      Alcotest.test_case "counters agree across dedup/ref" `Quick
-        test_counters_across_engines;
+      Alcotest.test_case "the stats snapshot mirrors counters" `Quick
+        test_stats_mirror_counters;
       Alcotest.test_case "phase spans nest and accumulate" `Quick test_phase_nesting;
       Alcotest.test_case "timers off records nothing" `Quick test_phases_timed_off;
       Alcotest.test_case "analysis records its phases" `Quick test_analysis_phases;

@@ -71,11 +71,7 @@ let test_sharing_fast_paths () =
   Alcotest.(check bool) "inter subset shares" true (TS.inter sub a == sub);
   Alcotest.(check bool) "inter superset shares" true (TS.inter a sub == sub);
   let other = TS.of_list [ 300; 301 ] in
-  Alcotest.(check bool) "diff disjoint shares" true (TS.diff a other == a);
-  (* union_unshared must agree extensionally while never sharing on
-     non-trivial inputs (the reference engine's historical cost model) *)
-  Alcotest.(check ts) "union_unshared agrees" (TS.union a sub) (TS.union_unshared a sub);
-  Alcotest.(check bool) "union_unshared copies" true (TS.union_unshared a sub != a)
+  Alcotest.(check bool) "diff disjoint shares" true (TS.diff a other == a)
 
 (* ---------------------------- properties ------------------------------ *)
 
@@ -116,8 +112,6 @@ let props =
         (not (TS.equal a b)) || TS.hash a = TS.hash b);
     prop "disjoint iff empty inter" (QCheck.pair arb_set arb_set) (fun (a, b) ->
         TS.disjoint a b = TS.is_empty (TS.inter a b));
-    prop "union_unshared = union" (QCheck.pair arb_set arb_set) (fun (a, b) ->
-        TS.equal (TS.union a b) (TS.union_unshared a b));
     prop "popcount_word = naive" (QCheck.make QCheck.Gen.int) (fun w ->
         let w = abs w in
         TS.popcount_word w = TS.popcount_naive w);

@@ -135,6 +135,67 @@ let test_detects_dropped_use_join () =
   Alcotest.(check bool) "use-edge violation reported" true
     (List.exists (contains "use edge") vs)
 
+(* The first flow of a solved graph that [pick] accepts. *)
+let find_flow engine pick =
+  let flows = List.concat_map (fun g -> Array.to_list g.C.Graph.g_flows) (C.Engine.graphs engine) in
+  match List.find_opt pick flows with
+  | Some f -> f
+  | None -> Alcotest.fail "no flow to corrupt"
+
+(* Corruptions only the edges out of the global flows show: a parameter
+   switched off breaks [pred_on]'s predicate edge to it, and an emptied
+   static load breaks its field flow's use edge. *)
+let test_detects_global_edge_corruption () =
+  let solve () =
+    let prog, main =
+      W.Gen.compile { W.Gen.default_params with W.Gen.live_units = 6; dead_units = 2 }
+    in
+    (C.Analysis.run prog ~roots:[ main ]).C.Analysis.engine
+  in
+  let engine = solve () in
+  let param =
+    find_flow engine (fun f ->
+        match f.C.Flow.kind with C.Flow.Param _ -> f.C.Flow.enabled | _ -> false)
+  in
+  param.C.Flow.enabled <- false;
+  Alcotest.(check bool) "disabled parameter reported" true
+    (List.exists (contains "predicate edge") (C.Verify.run engine));
+  let engine = solve () in
+  let load =
+    find_flow engine (fun f ->
+        match f.C.Flow.kind with
+        | C.Flow.Static_load fid ->
+            f.C.Flow.enabled
+            && not (C.Vstate.is_empty (C.Engine.field_flow engine fid).C.Flow.state)
+        | _ -> false)
+  in
+  load.C.Flow.raw <- C.Vstate.empty;
+  load.C.Flow.state <- C.Vstate.empty;
+  Alcotest.(check bool) "emptied static load reported" true
+    (List.exists (contains "use edge") (C.Verify.run engine))
+
+(* an allocation in a branch SkipFlow proves dead, switched on by hand,
+   allocates a class the engine never instantiated *)
+let test_detects_uninstantiated_alloc () =
+  let engine =
+    solve
+      {|
+class Flags { static boolean enabled() { return false; } }
+class DeadLib { void init() { } }
+class Main { static void main() { if (Flags.enabled()) { DeadLib d = new DeadLib(); d.init(); } } }
+|}
+  in
+  let alloc =
+    find_flow engine (fun f ->
+        match f.C.Flow.kind with C.Flow.Alloc _ -> not f.C.Flow.enabled | _ -> false)
+  in
+  let c = match alloc.C.Flow.kind with C.Flow.Alloc c -> c | _ -> assert false in
+  alloc.C.Flow.enabled <- true;
+  alloc.C.Flow.raw <- C.Vstate.of_class c;
+  alloc.C.Flow.state <- C.Vstate.of_class c;
+  Alcotest.(check bool) "uninstantiated allocation reported" true
+    (List.exists (contains "not instantiated") (C.Verify.run engine))
+
 let prop_certify =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"random programs certify under all configs" ~count:60
@@ -230,6 +291,10 @@ let suite =
         test_detects_cleared_return_token;
       Alcotest.test_case "verifier detects a dropped use-edge join" `Quick
         test_detects_dropped_use_join;
+      Alcotest.test_case "verifier checks global flows' edges" `Quick
+        test_detects_global_edge_corruption;
+      Alcotest.test_case "verifier checks allocated classes" `Quick
+        test_detects_uninstantiated_alloc;
       prop_certify;
       Alcotest.test_case "dead-code report" `Quick test_report;
       Alcotest.test_case "report empty on trivial program" `Quick test_report_empty_when_equal;
