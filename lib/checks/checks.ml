@@ -286,26 +286,13 @@ let find id =
   | None -> raise (Unknown_check id)
 
 (** Run the selected checks (default: all, in registry order) and return
-    the findings in source order ({!Finding.compare}).  Per-check finding
-    volume and time are accounted into the engine's trace under
-    ["checks.<id>"] / ["checks.<id>.wall_us"]. *)
+    the findings in source order ({!Finding.compare}).  The engine is only
+    read: nothing is counted into its trace. *)
 let run ?only ctx : Finding.t list =
   let checks =
     match only with None -> all | Some ids -> List.map find ids
   in
-  let trace = Engine.trace_of ctx.engine in
-  List.stable_sort Finding.compare
-    (List.concat_map
-       (fun c ->
-         let fs =
-           Trace.timed trace
-             (Trace.counter trace (Printf.sprintf "checks.%s.wall_us" c.id))
-             (fun () -> c.run ctx)
-         in
-         Trace.add (Trace.counter trace (Printf.sprintf "checks.%s" c.id))
-           (List.length fs);
-         fs)
-       checks)
+  List.stable_sort Finding.compare (List.concat_map (fun c -> c.run ctx) checks)
 
 (* ------------------- structured facts for the oracle ------------------ *)
 

@@ -7,7 +7,9 @@
     detects even when the result happens to look plausible):
 
     - {b Source/Alloc}: an enabled source's generated value is in its
-      state; an enabled allocation's class is marked instantiated;
+      state; an enabled allocation's class is marked instantiated; an
+      all-instantiated flow's VS_in holds every instantiated subtype of
+      its class (every instantiated type, for the flow of all of them);
     - {b Propagate}: for every use edge [s ⤳ t] with [s] enabled,
       [VS_out(s) ≤ VS_in(t)], and [VS_out(t) ⊇ filter(VS_in(t))];
     - {b Predicate}: for every predicate edge [s ⤳ t] with [s] enabled and
@@ -49,6 +51,13 @@ let check_flow_invariants ~pval ~instantiated prog (violations : violation list 
         bad "%s: allocated class not in VS_in" (name ());
       if not (Typeset.class_mem c instantiated) then
         bad "%s: allocated class not instantiated" (name ())
+  | Flow.All_instantiated c ->
+      let all =
+        if Program.is_null_class c then instantiated
+        else Typeset.inter instantiated (Typeset.of_classes (Program.all_subtypes prog c))
+      in
+      if not (Vstate.leq (Vstate.types all) f.Flow.raw) then
+        bad "%s: an instantiated subtype not in VS_in" (name ())
   | Flow.Return when f.Flow.enabled -> (
       match f.Flow.meth with
       | Some m when Ty.equal (Program.meth prog m).Program.m_ret_ty Ty.Void ->

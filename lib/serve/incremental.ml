@@ -199,24 +199,45 @@ let reachable_names engine =
 (* ------------------------------ the memo ------------------------------ *)
 
 module Memo = struct
-  type t = { cap : int; mutable items : (string * string) list }
+  type t = {
+    cap : int;
+    mutable items : (string * string) list;
+    mutable kept : (string * state) option;
+        (* the state the last commit replaced, with its frozen image *)
+  }
 
-  let create cap = { cap; items = [] }
+  let create cap = { cap; items = []; kept = None }
   let entries m = m.items
 
   (* no LRU refresh: lookups must be side-effect free so that a request
      that ultimately fails leaves the memo byte-identical — journal
      replay skips failed requests, and any memo drift would change
-     strategy decisions between an interrupted and a straight session *)
+     strategy decisions between an interrupted and a straight session.
+     The kept state is no such drift: it is never persisted and decides
+     nothing, it only stands in for a thaw of the very same bytes. *)
   let peek m key = List.assoc_opt key m.items
 
   let add m (key, v) =
     m.items <-
       List.filteri (fun i _ -> i < m.cap) ((key, v) :: List.remove_assoc key m.items)
 
+  let keep m frozen st = m.kept <- Some (frozen, st)
+
+  (* The kept state when the looked-up [entry] is physically its image.
+     It is released either way, so no compile, solve or thaw after a
+     lookup runs beside it. *)
+  let take m entry =
+    let kept = m.kept in
+    m.kept <- None;
+    match (kept, entry) with
+    | Some (frozen, st), Some bytes when frozen == bytes -> Some st
+    | _ -> None
+
   (* the memory ceiling's first relief valve: memo entries are pure
      caches, dropping them costs recomputation, never correctness *)
-  let clear m = m.items <- []
+  let clear m =
+    m.items <- [];
+    m.kept <- None
 end
 
 let memo_key ~config ~roots ~source =
@@ -324,12 +345,22 @@ let thaw_certified bytes =
   | Ok _ -> Error "failed verification"
 
 (* The memo entry under [key] as the next state: a hit only once it
-   thaws and certifies; an entry that does not is suspect. *)
+   thaws and certifies; an entry that does not is suspect.  When the
+   entry is the image of the state the last commit replaced, that state
+   stands in for the thaw, and only the certifier runs. *)
 let memo_lookup ?before ~memo ~key st =
-  match Memo.peek memo key with
+  let entry = Memo.peek memo key in
+  let kept = Memo.take memo entry in
+  match entry with
   | None -> `Miss
   | Some bytes -> (
-      match thaw_certified bytes with
+      let restored =
+        match kept with
+        | Some kst when certify kst.engine -> Ok kst
+        | Some _ -> Error "failed verification"
+        | None -> thaw_certified bytes
+      in
+      match restored with
       | Error _ -> `Suspect
       | Ok mst ->
           (* re-adding the hit refreshes its LRU position *)

@@ -29,9 +29,12 @@
       read the new bodies and positions.  Method fingerprints cover every
       source span, so an edit that moves a reachable method's code, even
       by whitespace, is {b full}.
-    - {b memo}: the (source, roots, config) content hash — the PR 5
-      {!Skipflow_core.Cache.key} machinery — hits the bounded in-memory
-      memo of previously solved states (toggling edits, A→B→A).
+    - {b memo}: the (source, roots, config) content hash
+      ({!Skipflow_core.Cache.key}) hits the bounded in-memory memo of
+      previously solved states (toggling edits, A→B→A), and the hit
+      passes {!Skipflow_core.Verify}.  A revert hits the image of the
+      state the last commit replaced; the memo still holds that state
+      ({!Memo.keep}), so it answers without a thaw.
     - {b full}: everything else, and any incremental result that fails
       the {!Skipflow_core.Verify} certifier.
 
@@ -52,7 +55,8 @@ type state = {
           program, graphs and counters.  Redrain and reuse thaw it
           instead of encoding [engine] again, so every constructor of a
           state keeps this invariant, and nothing mutates a committed
-          engine: lint, profile and the other reads only read it. *)
+          engine: lint, profile and the other reads only read it, and a
+          memo hit on a kept state makes the same engine resident again. *)
   metrics : C.Metrics.t;
   reachable : string list;  (** qualified names, discovery order *)
   meth_hashes : (string * string) list;
@@ -99,27 +103,40 @@ module Memo : sig
   (** A bounded LRU from {!C.Cache.key} content hashes to solved states,
       each kept as its {!freeze} bytes: entries are self-contained
       values, and the serve daemon persists each distinct one once, as a
-      content-addressed blob. *)
+      content-addressed blob.  Beside the entries the memo holds at most
+      one live state, the one the last commit replaced ({!keep}). *)
 
   val create : int -> t
 
   val peek : t -> string -> string option
   (** Side-effect-free lookup (no LRU refresh): a request that fails
       after a lookup must leave the memo byte-identical, or journal
-      replay — which skips failed requests — would drift. *)
+      replay — which skips failed requests — would drift.  The kept
+      state is outside that rule: it is never persisted and never
+      decides a strategy, it only stands in for a thaw of the same bytes,
+      so every memo lookup of {!edit} and {!analyze_roots} releases it
+      (before any compile, solve or thaw), hit or miss. *)
 
   val add : t -> string * string -> unit
   (** Insert or refresh [(key, frozen bytes)] at the front, evicting
       beyond the capacity.  Callers apply an {!outcome}'s
       [o_memo_adds] through this exactly when they commit it. *)
 
+  val keep : t -> string -> state -> unit
+  (** [keep memo frozen st]: hold [st], whose {!freeze} is [frozen], until
+      the next memo lookup.  A commit hands it the state it replaces; a
+      lookup whose entry is physically [frozen] then answers with [st]
+      after {!C.Verify} instead of thawing the bytes.  [st]'s engine
+      must not be mutated meanwhile (reads only read it). *)
+
   val entries : t -> (string * string) list
   (** [(key, frozen state bytes)], most recently used first.  Re-adding
       them oldest first rebuilds the same LRU order. *)
 
   val clear : t -> unit
-  (** Drop every entry (capacity kept) — the memory ceiling's first
-      relief valve; costs recomputation, never correctness. *)
+  (** Drop every entry and the kept state (capacity kept) — the memory
+      ceiling's first relief valve; costs recomputation, never
+      correctness. *)
 end
 
 (** {1 Operations} *)
@@ -159,8 +176,8 @@ val edit :
   source:string ->
   (outcome, Protocol.error) result
 (** Classify and apply a source edit: resident / memo / reuse / full.
-    [memo] is only read ({!Memo.peek}); the writes — including the
-    pre-edit state, so reverting an edit is a hit — come back in
+    [memo]'s entries are only read ({!Memo.peek}); the writes — including
+    the pre-edit state, so reverting an edit is a hit — come back in
     [o_memo_adds] for the caller to apply on commit. *)
 
 val analyze_roots :
@@ -170,8 +187,9 @@ val analyze_roots :
   state ->
   roots:string list ->
   (outcome, Protocol.error) result
-(** Re-analyze under a new root set: resident when unchanged, an
-    incremental re-drain when it grew, a full solve otherwise. *)
+(** Re-analyze under a new root set: resident when unchanged, memo
+    when this (source, roots) was solved before, an incremental
+    re-drain when it grew, a full solve otherwise. *)
 
 (** {1 Persistence} *)
 
@@ -186,9 +204,10 @@ val thaw : string -> (state, string) result
     undecodable bytes. *)
 
 val thaw_certified : string -> (state, string) result
-(** {!thaw}, then {!C.Verify}: how a memo hit and a restarted daemon
-    trust bytes they did not just compute.  [Error] names the failed
-    step (["undecodable (...)"] or ["failed verification"]). *)
+(** {!thaw}, then {!C.Verify}: how a memo hit that has no kept state and
+    a restarted daemon trust bytes they did not just compute.  [Error]
+    names the failed step (["undecodable (...)"] or ["failed
+    verification"]). *)
 
 (** {1 Equality certification} *)
 

@@ -179,11 +179,6 @@ let manifest_blobs m =
   Option.fold ~none:[] ~some:(fun (b, _) -> [ b ]) m.mf_resident
   @ List.map snd m.mf_memo
 
-let blob_name t bytes =
-  match List.find_opt (fun (b, _) -> b == bytes) t.names with
-  | Some (_, name) -> name
-  | None -> Digest.to_hex (Digest.string bytes)
-
 (* Commit order: every referenced blob not yet on disk, then the manifest
    (atomically), then the blobs it no longer references.  A crash
    anywhere leaves the old manifest with all its blobs, or the new one
@@ -194,7 +189,16 @@ let write_snapshot t =
   match t.cfg.sv_state_dir with
   | None -> ()
   | Some dir -> (
-      let named bytes = (bytes, blob_name t bytes) in
+      (* each physical string is digested at most once per write: the
+         resident's image is also its own memo entry *)
+      let named bytes =
+        match List.find_opt (fun (b, _) -> b == bytes) t.names with
+        | Some entry -> entry
+        | None ->
+            let entry = (bytes, Digest.to_hex (Digest.string bytes)) in
+            t.names <- entry :: t.names;
+            entry
+      in
       let resident =
         Option.map (fun st -> (named t.st_frozen, st.I.generation)) t.st
       in
@@ -253,7 +257,9 @@ let maybe_snapshot t = if t.dirty then write_snapshot t
 
 (* Make a candidate the resident state, applying its memo writes, unless
    it is the resident state already (a [resident] answer, whose
-   generation did not move).  Returns whether it mutated. *)
+   generation did not move).  The replaced resident goes to the memo's
+   kept slot with its image, so reverting to it needs no thaw.  Returns
+   whether it mutated. *)
 let commit t (o : I.outcome) =
   let mutated =
     match t.st with
@@ -261,6 +267,7 @@ let commit t (o : I.outcome) =
     | None -> true
   in
   if mutated then begin
+    Option.iter (I.Memo.keep t.memo t.st_frozen) t.st;
     set_resident t o.I.o_state (Lazy.force o.I.o_frozen);
     List.iter (I.Memo.add t.memo) o.I.o_memo_adds;
     t.dirty <- true
@@ -490,9 +497,10 @@ let heap_mb () =
 
 (** Graceful degradation before the OOM killer arrives: when the major
     heap crosses [sv_max_heap_mb], drop the cheap-to-recompute state
-    first — the memo LRU and the blob-name cache — and compact; only if
-    the heap is {e still} over the ceiling is the request shed, with
-    {!shed_retry_after_ms} as the hint.  Shed responses are not
+    first — the memo LRU with the replaced state it keeps, and the
+    blob-name cache — and compact; only if the heap is {e still} over
+    the ceiling is the request shed, with {!shed_retry_after_ms} as the
+    hint.  Shed responses are not
     journaled: memory pressure depends on timing, and replay must stay
     deterministic.  A shed request re-sent after a restart
     desynchronizes the replay cursor, which degrades to fresh

@@ -16,7 +16,10 @@
     use — a [kill -9] at any point loses at most the in-flight request,
     and a restart with [resume:true] re-emits journaled responses byte
     for byte while re-executing post-snapshot mutations to catch the
-    resident state up.  Overload is bounded by the memory ceiling
+    resident state up.  The state a commit replaces stays in memory
+    (never on disk) until the next memo lookup, so a revert answers
+    without decoding its blob; a resumed daemon thaws the blob instead
+    and answers alike.  Overload is bounded by the memory ceiling
     ([sv_max_heap_mb]), which sheds mutating requests instead of letting
     the OOM killer take the daemon. *)
 
@@ -30,11 +33,12 @@ type cfg = {
   sv_memo_entries : int;  (** memo capacity (solved states) *)
   sv_timings : bool;  (** report wall_us; off = 0, byte-comparable *)
   sv_max_heap_mb : int option;
-      (** memory ceiling: past it, the memo and the blob-name cache are
-          dropped and the heap compacted; if still over, mutating
-          requests are shed as {!Protocol.Overloaded} with a 50ms retry
-          hint ([health]/[shutdown] always answer).  Shed responses are
-          never journaled. *)
+      (** memory ceiling: past it, the memo (with the replaced state it
+          keeps) and the blob-name cache are dropped and the heap
+          compacted; if still over, mutating requests are shed as
+          {!Protocol.Overloaded} with a 50ms retry hint
+          ([health]/[shutdown] always answer).  Shed responses are never
+          journaled. *)
   sv_restarts : int;
       (** how many times the supervisor has restarted this daemon
           (surfaced in [health]; 0 when unsupervised) *)

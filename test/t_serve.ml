@@ -521,17 +521,27 @@ let test_memory_ceiling_shedding () =
 
 (* ----------------------- kill -9 and warm restart ----------------------- *)
 
+(* Each revert is a memo hit on the state the request before it
+   replaced: a straight session answers it with that state, kept in
+   memory, and a session killed just before it thaws the blob instead.
+   The lint and the profile after them then compare the two; the
+   profile after the grown roots compares the redrained engine. *)
+let roots names = [ ("roots", K.Json.Arr (List.map (fun n -> K.Json.Str n) names)) ]
+
 let session_lines =
   [
     edit_req 1 base_src;
     op_req 2 "health";
     edit_req 3 dead_edit;
-    op_req 4 "analyze";
-    edit_req 5 live_edit;
-    op_req 6 "analyze"
-      ~extra:
-        [ ("roots", K.Json.Arr [ K.Json.Str "Main.main"; K.Json.Str "Dead.never" ]) ];
-    op_req 7 "profile";
+    edit_req 4 base_src;
+    op_req 5 "analyze";
+    edit_req 6 live_edit;
+    edit_req 7 base_src;
+    op_req 8 "analyze" ~extra:(roots [ "Main.main"; "Dead.never" ]);
+    op_req 9 "profile";
+    op_req 10 "analyze" ~extra:(roots []);
+    op_req 11 "lint";
+    op_req 12 "profile";
   ]
 
 let run_all srv lines = List.concat_map (Sv.handle_line srv) lines
@@ -545,6 +555,16 @@ let test_kill_resume_byte_identical () =
     let srv = create_exn ~resume:false quiet_cfg in
     run_all srv session_lines
   in
+  Alcotest.(check (list string)) "the straight session's strategies"
+    [ "full"; "reuse"; "memo"; "resident"; "full"; "memo"; "redrain"; "memo" ]
+    (List.filter_map
+       (fun line ->
+         match
+           Option.bind (K.Json.member "result" (K.Json.of_string line)) (K.Json.member "strategy")
+         with
+         | Some (K.Json.Str s) -> Some s
+         | _ -> None)
+       straight);
   List.iteri
     (fun k _ ->
       with_state_dir (fun dir ->
@@ -561,6 +581,64 @@ let test_kill_resume_byte_identical () =
                run's"
               (k + 1)))
     session_lines
+
+let result_of j =
+  match K.Json.member "result" j with
+  | Some r -> r
+  | None -> Alcotest.fail "response has no result"
+
+let resident_engine srv =
+  match Sv.state srv with
+  | Some st -> st.I.engine
+  | None -> Alcotest.fail "no resident state"
+
+(* A read leaves the resident engine as it found it, image and all, so
+   a state kept in memory answers later reads as its thawed blob does. *)
+let test_reads_leave_engine_unchanged () =
+  let srv = create_exn ~initial:(`Text base_src) ~resume:false quiet_cfg in
+  let image () = C.Engine.snapshot_bytes (resident_engine srv) in
+  List.iter
+    (fun line ->
+      let before = image () in
+      ignore (Sv.handle_line srv line);
+      Alcotest.(check bool) ("the image is unchanged by " ^ line) true
+        (String.equal before (image ())))
+    [ op_req 1 "health";
+      op_req 2 "profile";
+      op_req 3 "lint";
+      op_req 4 "lint" ~extra:[ ("only", K.Json.Arr [ K.Json.Str "dead-method" ]) ];
+      op_req 5 "analyze";
+      edit_req 6 base_src;
+      op_req 7 "profile";
+    ]
+
+(* A revert is a memo hit on the state its edit replaced, and that state
+   itself comes back: no thaw.  Every memo lookup releases it, so after
+   a failed request that looked the memo up, the revert thaws the blob
+   and answers alike. *)
+let test_revert_reuses_replaced_state () =
+  let srv = create_exn ~initial:(`Text base_src) ~resume:false quiet_cfg in
+  let revert label ~kept ~change ~back =
+    let before = resident_engine srv and gen = Sv.generation srv in
+    List.iter (fun line -> ignore (Sv.handle_line srv line)) change;
+    Alcotest.(check int) (label ^ ": one commit before the revert") (gen + 1)
+      (Sv.generation srv);
+    let r = result_of (one_response (Sv.handle_line srv back)) in
+    Alcotest.(check string) (label ^ ": a memo hit") "memo" (str_member "strategy" r);
+    Alcotest.(check bool) (label ^ ": verified") true (bool_member "verified" r);
+    Alcotest.(check bool) (label ^ ": the replaced engine is back") kept
+      (resident_engine srv == before)
+  in
+  revert "dead edit" ~kept:true ~change:[ edit_req 1 dead_edit ] ~back:(edit_req 2 base_src);
+  revert "live edit" ~kept:true ~change:[ edit_req 3 live_edit ] ~back:(edit_req 4 base_src);
+  revert "grown roots" ~kept:true
+    ~change:[ op_req 5 "analyze" ~extra:(roots [ "Main.main"; "Dead.never" ]) ]
+    ~back:(op_req 6 "analyze" ~extra:(roots []));
+  (* an unseen live edit misses the memo and trips its deadline *)
+  let live n = replace ~sub:"return 1" ~by:(Printf.sprintf "return %d" n) base_src in
+  revert "a failed edit between" ~kept:false
+    ~change:[ edit_req 7 (live 6); edit_req ~deadline_ms:0 8 (live 7) ]
+    ~back:(edit_req 9 base_src)
 
 (* A corrupted serve snapshot must fall back to a cold start (logged, not
    fatal) and the daemon must still serve correct results. *)
@@ -920,6 +998,10 @@ let suite =
         test_memory_ceiling_shedding;
       Alcotest.test_case "kill -9 / resume replays byte-identically" `Quick
         test_kill_resume_byte_identical;
+      Alcotest.test_case "reads leave the resident engine unchanged" `Quick
+        test_reads_leave_engine_unchanged;
+      Alcotest.test_case "a revert reuses the replaced state" `Quick
+        test_revert_reuses_replaced_state;
       Alcotest.test_case "corrupt snapshot falls back to a cold start" `Quick
         test_corrupt_snapshot_cold_start;
       Alcotest.test_case "blobs/ holds exactly the referenced blobs" `Quick

@@ -196,6 +196,49 @@ class Main { static void main() { if (Flags.enabled()) { DeadLib d = new DeadLib
   Alcotest.(check bool) "uninstantiated allocation reported" true
     (List.exists (contains "not instantiated") (C.Verify.run engine))
 
+(* The all-instantiated flows feed root parameters and saturated flows;
+   one that lost an instantiated type breaks no edge rule, since its
+   smaller state is still below its targets' *)
+let test_detects_emptied_all_instantiated () =
+  let all_inst engine pick =
+    match
+      List.find_opt
+        (fun f ->
+          match f.C.Flow.kind with
+          | C.Flow.All_instantiated c -> pick c && not (C.Vstate.is_empty f.C.Flow.raw)
+          | _ -> false)
+        (C.Engine.global_flows engine)
+    with
+    | Some f ->
+        f.C.Flow.raw <- C.Vstate.empty;
+        f.C.Flow.state <- C.Vstate.empty;
+        List.exists (contains "instantiated subtype") (C.Verify.run engine)
+    | None -> Alcotest.fail "no all-instantiated flow to empty"
+  in
+  let engine =
+    let prog, main =
+      W.Gen.compile { W.Gen.default_params with W.Gen.live_units = 6; dead_units = 2 }
+    in
+    (C.Analysis.run prog ~roots:[ main ]).C.Analysis.engine
+  in
+  Alcotest.(check bool) "the flow of all instantiated types" true
+    (all_inst engine Skipflow_ir.Program.is_null_class);
+  let engine =
+    let prog =
+      F.Frontend.compile
+        {|
+class Item { }
+class Sub extends Item { }
+class Box { void take(Item i) { } }
+class Main { static void main() { Item a = new Sub(); } }
+|}
+    in
+    let roots = C.Analysis.roots_by_name prog [ "Main.main"; "Box.take" ] in
+    (C.Analysis.run prog ~roots:(Result.get_ok roots)).C.Analysis.engine
+  in
+  Alcotest.(check bool) "a root parameter's feed" true
+    (all_inst engine (fun c -> not (Skipflow_ir.Program.is_null_class c)))
+
 let prop_certify =
   QCheck_alcotest.to_alcotest
     (QCheck.Test.make ~name:"random programs certify under all configs" ~count:60
@@ -293,6 +336,8 @@ let suite =
         test_detects_dropped_use_join;
       Alcotest.test_case "verifier checks global flows' edges" `Quick
         test_detects_global_edge_corruption;
+      Alcotest.test_case "verifier checks all-instantiated contents" `Quick
+        test_detects_emptied_all_instantiated;
       Alcotest.test_case "verifier checks allocated classes" `Quick
         test_detects_uninstantiated_alloc;
       prop_certify;
